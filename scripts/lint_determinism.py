@@ -39,6 +39,13 @@ The simulator's reproducibility rests on two conventions:
    parameter defaults: list/dict/set displays and bare ``list()`` /
    ``dict()`` / ``set()`` calls are rejected (rule D005).
 
+6. Experiments (:mod:`repro.experiments`) describe every simulation as
+   a :class:`~repro.sim.engine.SimJob` and run it through
+   ``engine.run_job``, so a warm regeneration replays it from the result
+   cache.  A ``HybridSimulator(...)`` or ``run_simulation(...)`` call
+   there builds a simulation the cache never sees, so this lint rejects
+   it (rule D006).
+
 Usage:
     python scripts/lint_determinism.py [paths ...]
 
@@ -93,6 +100,11 @@ _BACKENDS_PACKAGE = "repro/sim/backends"
 #: loop's RNG call order (same method, same sequence of draws).
 _RNG_PRAGMA = "# lint: rng-mirrored"
 
+#: The package whose simulations must be engine jobs (rule D006), and the
+#: calls that build or run a simulation outside the engine.
+_EXPERIMENTS_PACKAGE = "repro/experiments"
+_ENGINE_BYPASS_CALLS = frozenset({"HybridSimulator", "run_simulation"})
+
 #: Default-argument constructors that build a fresh-looking but shared
 #: mutable object (rule D005); literals are caught structurally.
 _MUTABLE_CONSTRUCTORS = frozenset({"list", "dict", "set"})
@@ -128,6 +140,7 @@ class _Linter(ast.NodeVisitor):
         self.in_backends = (
             _BACKENDS_PACKAGE in norm and not norm.endswith("/rngkit.py")
         )
+        self.in_experiments = _EXPERIMENTS_PACKAGE in norm
         self.violations: List[Violation] = []
         # Names the module binds to the random / numpy.random modules.
         self.random_aliases = {"random"}
@@ -252,7 +265,23 @@ class _Linter(ast.NodeVisitor):
                     "numpy.random.default_rng(seed)",
                 )
         self._check_rng_access(node.func)
+        self._check_engine_bypass(node, name)
         self.generic_visit(node)
+
+    # -- D006: experiment simulations go through the engine ------------
+
+    def _check_engine_bypass(self, node: ast.Call, name: str) -> None:
+        if not self.in_experiments:
+            return
+        callee = name.rpartition(".")[2]
+        if callee in _ENGINE_BYPASS_CALLS:
+            self._flag(
+                node,
+                "D006",
+                f"'{callee}(...)' in an experiment runs a simulation the "
+                "result cache never sees; describe it as an engine.SimJob "
+                "and run it through engine.run_job",
+            )
 
     def visit_Assign(self, node: ast.Assign) -> None:
         # Binding a draw method (``rng = stream._rng.getrandbits``) is the

@@ -12,7 +12,7 @@ from repro.sim.probes import IPCSeriesProbe
 from repro.sim.results import SimulationResult
 from repro.sim.simulator import GatingMode, HybridSimulator
 from repro.uarch.config import DesignPoint, design_for_suite
-from repro.workloads.profiles import BenchmarkProfile, build_workload
+from repro.workloads.profiles import BenchmarkProfile
 from repro.workloads.suites import get_profile
 
 #: Baseline per-run instruction budgets (multiplied by REPRO_SCALE).
@@ -124,20 +124,27 @@ def server_and_mobile_benchmarks() -> List[Tuple[str, DesignPoint]]:
 def timeseries_ipc(
     design: DesignPoint,
     profile: BenchmarkProfile,
-    configure: Callable[[HybridSimulator], None],
+    configure: Optional[Callable[[HybridSimulator], None]],
     max_instructions: int,
     sample_instructions: int,
+    cache_tag: str = "",
 ) -> List[float]:
     """IPC sampled every ``sample_instructions`` (for Figs. 2 and 3).
 
-    Runs a full-power simulation with ``configure`` applied first (e.g.
-    forcing the small BPU or a 1-way MLC) and records windowed IPC through
-    an :class:`~repro.sim.probes.IPCSeriesProbe` — including the trailing
-    partial window when it covers at least half a sample.
+    One full-power engine job with ``configure`` applied first (e.g.
+    forcing the small BPU or a 1-way MLC; ``None`` runs ``design`` as
+    built), recording windowed IPC through an
+    :class:`~repro.sim.probes.IPCSeriesProbe` — including the trailing
+    partial window when it covers at least half a sample.  The series is
+    cached like any job result, so a ``configure`` callback needs a
+    ``cache_tag`` naming what it does.
     """
-    workload = build_workload(profile)
-    simulator = HybridSimulator(design, workload, GatingMode.FULL)
-    configure(simulator)
-    probe = IPCSeriesProbe(sample_instructions=sample_instructions).build()
-    simulator.run(max_instructions, probes=(probe,))
-    return probe.value()
+    job = engine.SimJob(
+        profile=profile,
+        design=design,
+        max_instructions=max_instructions,
+        probes=(IPCSeriesProbe(sample_instructions=sample_instructions),),
+        configure=configure,
+        cache_tag=cache_tag,
+    )
+    return engine.run_job(job).probes["ipc_series"]

@@ -25,7 +25,7 @@ def vector_intensity_series(
     series: List[float] = []
     shard_instr = 0
     shard_vec = 0
-    for block_exec in workload.trace(max_instructions):
+    for block_exec in workload.trace(max_instructions, addresses=False):
         block = block_exec.block
         shard_instr += block.n_instr
         shard_vec += block.n_vec

@@ -15,6 +15,17 @@ from repro.uarch.config import MOBILE
 from repro.workloads.suites import get_profile
 
 
+#: Cache tag of the runs :func:`force_small_bpu` configures.  The tag
+#: stands for the callback in the job's cache key, so change it whenever
+#: the callback's behaviour changes.
+SMALL_BPU_TAG = "fig02-small-bpu"
+
+
+def force_small_bpu(simulator: HybridSimulator) -> None:
+    """Run on the small (local) predictor: the BPU's gated state."""
+    simulator.core.apply_bpu_state(False)
+
+
 def ipc_series(
     benchmark: str = "msn",
     max_instructions: int = 6_000_000,
@@ -22,19 +33,16 @@ def ipc_series(
 ) -> Tuple[List[float], List[float]]:
     """Returns (small-BPU IPC series, large-BPU IPC series)."""
     profile = get_profile(benchmark)
-
-    def force_small(simulator: HybridSimulator) -> None:
-        simulator.core.apply_bpu_state(False)
-        # Recreate the accountant snapshot consistently (not used here).
-
-    def keep_large(simulator: HybridSimulator) -> None:
-        pass
-
     small = timeseries_ipc(
-        MOBILE, profile, force_small, max_instructions, sample_instructions
+        MOBILE,
+        profile,
+        force_small_bpu,
+        max_instructions,
+        sample_instructions,
+        cache_tag=SMALL_BPU_TAG,
     )
     large = timeseries_ipc(
-        MOBILE, profile, keep_large, max_instructions, sample_instructions
+        MOBILE, profile, None, max_instructions, sample_instructions
     )
     return small, large
 

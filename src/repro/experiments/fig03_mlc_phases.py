@@ -15,6 +15,17 @@ from repro.uarch.config import SERVER
 from repro.workloads.suites import get_profile
 
 
+#: Cache tag of the runs :func:`one_way_mlc` configures.  The tag stands
+#: for the callback in the job's cache key, so change it whenever the
+#: callback's behaviour changes.
+ONE_WAY_MLC_TAG = "fig03-mlc-1way"
+
+
+def one_way_mlc(simulator: HybridSimulator) -> None:
+    """Run with the MLC gated down to one way (128 KB of 1024 KB)."""
+    simulator.core.apply_mlc_state(1)
+
+
 def ipc_series(
     benchmark: str = "gems",
     max_instructions: int = 6_000_000,
@@ -22,18 +33,16 @@ def ipc_series(
 ) -> Tuple[List[float], List[float]]:
     """Returns (1-way MLC IPC series, 8-way MLC IPC series)."""
     profile = get_profile(benchmark)
-
-    def one_way(simulator: HybridSimulator) -> None:
-        simulator.core.apply_mlc_state(1)
-
-    def all_ways(simulator: HybridSimulator) -> None:
-        pass
-
     small = timeseries_ipc(
-        SERVER, profile, one_way, max_instructions, sample_instructions
+        SERVER,
+        profile,
+        one_way_mlc,
+        max_instructions,
+        sample_instructions,
+        cache_tag=ONE_WAY_MLC_TAG,
     )
     large = timeseries_ipc(
-        SERVER, profile, all_ways, max_instructions, sample_instructions
+        SERVER, profile, None, max_instructions, sample_instructions
     )
     return small, large
 

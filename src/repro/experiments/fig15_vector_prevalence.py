@@ -26,7 +26,7 @@ def shard_histogram(
     zero = low = high = 0
     shard_instr = 0
     shard_vec = 0
-    for block_exec in workload.trace(max_instructions):
+    for block_exec in workload.trace(max_instructions, addresses=False):
         block = block_exec.block
         shard_instr += block.n_instr
         shard_vec += block.n_vec

@@ -9,7 +9,11 @@ the mechanism's decisions change.
 
 The checked-in fixtures live in ``tests/goldens/<name>.json``; regenerate
 them with ``python scripts/update_goldens.py`` after an *intentional*
-behaviour change, and inspect the diff before committing.
+behaviour change, and inspect the diff before committing.  Each fixture
+records the :data:`~repro.sim.engine.RESULT_SEMANTICS_VERSION` it was
+captured under; the script refuses to change a fixture's decisions
+without a bump, so a behaviour change cannot leave stale results in warm
+result caches.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from typing import Dict, List, Tuple
 
 from repro.core.config import PowerChopConfig
 from repro.obs.events import OBS_SCHEMA_VERSION, EventKind, event_to_jsonable
+from repro.sim.engine import RESULT_SEMANTICS_VERSION
 from repro.sim.simulator import GatingMode, HybridSimulator
 from repro.workloads.profiles import build_workload
 from repro.workloads.suites import get_profile
@@ -88,6 +93,7 @@ def capture_golden(spec: GoldenSpec) -> Dict:
     ]
     return {
         "schema": OBS_SCHEMA_VERSION,
+        "result_semantics": RESULT_SEMANTICS_VERSION,
         "name": spec.name,
         "benchmark": spec.benchmark,
         "seed": spec.seed,
@@ -104,10 +110,11 @@ def diff_goldens(expected: Dict, actual: Dict) -> List[str]:
     *what* changed without dumping both streams.
     """
     problems: List[str] = []
-    if expected.get("schema") != actual.get("schema"):
-        problems.append(
-            f"schema: expected {expected.get('schema')}, got {actual.get('schema')}"
-        )
+    for field in ("schema", "result_semantics"):
+        if expected.get(field) != actual.get(field):
+            problems.append(
+                f"{field}: expected {expected.get(field)}, got {actual.get(field)}"
+            )
     exp_events = expected.get("events", [])
     act_events = actual.get("events", [])
     for index, (exp, act) in enumerate(zip(exp_events, act_events)):

@@ -10,7 +10,8 @@ This is the single way to describe, instrument, run and cache simulations:
   worker function, so everything a job references must be picklable);
 - :func:`run_job` — execute with two cache layers: a per-process memo (so
   repeated calls return the *same* objects) and a persistent on-disk JSON
-  :class:`ResultCache` keyed by job hash plus schema/code version;
+  :class:`ResultCache` keyed by job hash, salted by the package version
+  and :data:`RESULT_SEMANTICS_VERSION`;
 - :class:`SweepRunner` — run batches of jobs across a
   ``ProcessPoolExecutor`` (worker count from ``REPRO_JOBS``; results come
   back in job order regardless of completion order, bit-identical to the
@@ -51,6 +52,7 @@ from repro.workloads.suites import get_profile
 
 __all__ = [
     "NON_KEY_FIELDS",
+    "RESULT_SEMANTICS_VERSION",
     "SCHEMA_MIGRATIONS",
     "SimJob",
     "JobRecord",
@@ -67,7 +69,8 @@ __all__ = [
     "default_workers",
 ]
 
-#: Bump when result semantics or the cache schema change; entries written
+#: Bump when the cache payload schema changes (a change in what jobs
+#: compute bumps :data:`RESULT_SEMANTICS_VERSION` instead); entries written
 #: under an older schema are fed through the :data:`SCHEMA_MIGRATIONS`
 #: chain on read and treated as misses only when no chain reaches the
 #: current version.  v2: POWERCHOP results gained the static-pre-pass
@@ -77,6 +80,15 @@ __all__ = [
 #: (excluded from the key — see ``NON_KEY_FIELDS``) and ``fastpath``
 #: became a deprecated alias for it.
 CACHE_SCHEMA_VERSION = 4
+
+#: Bump whenever a code change alters what any job computes (results,
+#: phase logs, probe values).  It salts :meth:`SimJob.key`, so entries
+#: written before the bump become unreachable instead of being replayed as
+#: stale answers; the package version alone has not moved in many changes.
+#: The golden-trace fixtures (``tests/goldens``) record the value they were
+#: captured under, and ``scripts/update_goldens.py`` refuses to rewrite a
+#: fixture whose decisions changed while the recorded value is current.
+RESULT_SEMANTICS_VERSION = 1
 
 #: Schema-version migration hooks: ``{from_version: fn(payload) -> payload}``.
 #: Each hook receives the raw JSON payload of an entry written under
@@ -257,14 +269,16 @@ class SimJob:
         values, which makes them a canonical text form for hashing.  Every
         field participates except the documented ``NON_KEY_FIELDS`` (the
         ``configure`` callback is represented by ``cache_tag``, enforced
-        non-empty above); the code version salts the hash so old cache
-        entries never alias new semantics.  The cache *schema* version is
+        non-empty above).  The package version and
+        :data:`RESULT_SEMANTICS_VERSION` salt the hash so old cache entries
+        never alias new semantics.  The cache *schema* version is
         deliberately not in the key: entries carry it in-file instead, so
         a schema bump with a registered :data:`SCHEMA_MIGRATIONS` hook
         keeps old entries readable under the same key.
         """
         parts = (
             f"version={_code_version()}",
+            f"semantics={RESULT_SEMANTICS_VERSION}",
             f"benchmark={self.benchmark}",
             f"profile={self.profile!r}",
             f"design={self.design!r}",
@@ -374,8 +388,9 @@ class ResultCache:
 
     The directory comes from ``REPRO_CACHE_DIR`` (default
     ``~/.cache/repro-powerchop``); ``REPRO_CACHE=0`` disables reads and
-    writes.  Entries are invalidated implicitly: the package version salts
-    the job hash, and any config change alters the key.  Corrupt or
+    writes.  Entries are invalidated implicitly: the package version and
+    :data:`RESULT_SEMANTICS_VERSION` salt the job hash, and any config
+    change alters the key.  Corrupt or
     unreadable entries are treated as misses.  Entries written under an
     older ``CACHE_SCHEMA_VERSION`` are run through the
     :data:`SCHEMA_MIGRATIONS` chain; an entry no chain can bring current
@@ -386,7 +401,9 @@ class ResultCache:
     least-recently-used entries (by file mtime — ``get`` hits touch their
     entry) until the cache fits the budget, so the cache never exceeds it.
     ``hits`` / ``misses`` / ``evictions`` count this instance's observed
-    operations.  ``clock`` injects a deterministic time source for tests;
+    operations; ``write_failures`` counts puts that could not persist
+    their entry (an ``OSError`` while writing), which never raise.
+    ``clock`` injects a deterministic time source for tests;
     the default is the filesystem's own clock.
     """
 
@@ -415,6 +432,7 @@ class ResultCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
+        self.write_failures = 0
 
     def _path(self, key: str) -> Path:
         return self.root / f"{key}.json"
@@ -483,11 +501,23 @@ class ResultCache:
             text = json.dumps(payload)
         except TypeError:
             return  # non-JSON probe value; skip persistence, keep the memo
-        self.root.mkdir(parents=True, exist_ok=True)
-        tmp = self._path(key).with_suffix(".tmp%d" % os.getpid())
-        tmp.write_text(text)
-        os.replace(tmp, self._path(key))
-        self._touch(self._path(key))
+        path = self._path(key)
+        tmp = path.with_suffix(".tmp%d" % os.getpid())
+        try:
+            self.root.mkdir(parents=True, exist_ok=True)
+            tmp.write_text(text)
+            os.replace(tmp, path)
+        except OSError:
+            # Full disk, read-only or missing directory: the simulation
+            # already succeeded, so losing its persistence must not lose
+            # the result.  Count the failure and keep the memo.
+            self.write_failures += 1
+            try:
+                tmp.unlink()
+            except OSError:
+                pass
+            return
+        self._touch(path)
         self.evict_to_budget()
 
     # ------------------------------------------------------- lifecycle
@@ -544,6 +574,7 @@ class ResultCache:
             "hits": self.hits,
             "misses": self.misses,
             "evictions": self.evictions,
+            "write_failures": self.write_failures,
         }
 
     def clear(self) -> int:

@@ -34,7 +34,7 @@ def _collect_bbvs(
     intervals: List[Dict[int, int]] = [{}]
     produced = 0
     boundary = interval_instructions
-    for block_exec in workload.trace(max_instructions):
+    for block_exec in workload.trace(max_instructions, addresses=False):
         block = block_exec.block
         idx = pc_index.setdefault(block.pc, len(pc_index))
         current = intervals[-1]

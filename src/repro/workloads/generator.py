@@ -319,6 +319,11 @@ class RegionBuilder:
         return CodeRegion(region_id, blocks, entry=main_indices[0])
 
 
+def _no_addresses(n: int) -> Tuple[int, ...]:
+    """``AddressStream.take`` stand-in for address-free trace scans."""
+    return ()
+
+
 class SyntheticWorkload:
     """A fully-instantiated synthetic benchmark ready to produce a trace.
 
@@ -353,11 +358,22 @@ class SyntheticWorkload:
         self.seed = seed
         self.history = GlobalHistory()
 
-    def trace(self, max_instructions: Optional[int] = None) -> Iterator[BlockExec]:
+    def trace(
+        self, max_instructions: Optional[int] = None, addresses: bool = True
+    ) -> Iterator[BlockExec]:
         """Yield dynamic block executions following the phase schedule.
 
         The schedule repeats from the start until ``max_instructions`` guest
         instructions have been produced (or runs once when unbounded).
+
+        ``addresses=False`` is for read-only scans that look only at the
+        block sequence (statistics, basic-block vectors): every
+        ``BlockExec.addresses`` is ``()`` and no phase's
+        :class:`AddressStream` is created, which skips the per-access
+        address generation.  The ``(block, taken, phase_name)`` sequence is
+        the same as with addresses, because each address stream draws from
+        its own RNG and never touches the branch models.  Branch models
+        still advance, so the workload stays single-use either way.
 
         NOTE: :func:`repro.sim.backends.fastpath.run_fast` inlines this generator
         (schedule walk, per-phase stream seeding, cursor arithmetic,
@@ -372,24 +388,27 @@ class SyntheticWorkload:
         while True:
             for phase_name, n_blocks in self.schedule:
                 phase = self.phases[phase_name]
-                # crc32, not hash(): str hashing is salted per process
-                # (PYTHONHASHSEED), and a hash-dependent seed would make
-                # traces differ across processes — breaking the engine's
-                # serial-vs-pool bit-identity and golden-trace fixtures.
-                stream = phase.address_stream(
-                    self._phase_order[phase_name],
-                    self.seed ^ zlib.crc32(phase_name.encode()) & 0xFFFF,
-                )
+                if addresses:
+                    # crc32, not hash(): str hashing is salted per process
+                    # (PYTHONHASHSEED), and a hash-dependent seed would make
+                    # traces differ across processes — breaking the engine's
+                    # serial-vs-pool bit-identity and golden-trace fixtures.
+                    take = phase.address_stream(
+                        self._phase_order[phase_name],
+                        self.seed ^ zlib.crc32(phase_name.encode()) & 0xFFFF,
+                    ).take
+                else:
+                    take = _no_addresses
                 region = phase.region
                 region_blocks = region.blocks
                 idx = region.entry
-                take = stream.take
                 for _ in range(n_blocks):
                     block = region_blocks[idx]
                     succ, taken = block.next_block(history)
                     n_mem = block.n_mem
-                    addresses = take(n_mem) if n_mem else ()
-                    yield BlockExec(block, taken, addresses, phase_name)
+                    yield BlockExec(
+                        block, taken, take(n_mem) if n_mem else (), phase_name
+                    )
                     produced += block.n_instr
                     if max_instructions is not None and produced >= max_instructions:
                         return

@@ -172,6 +172,43 @@ class TestResultCache:
         assert cache.clear() == 1
         assert cache.clear() == 0
 
+    def test_failed_write_keeps_the_result(self, tmp_path):
+        # A root beneath a regular file cannot be created, even by root
+        # (chmod does not stop root).
+        blocker = tmp_path / "regular-file"
+        blocker.write_text("not a directory")
+        cache = ResultCache(root=blocker / "cache")
+        job = SimJob(benchmark="hmmer", max_instructions=60_000)
+        record = run_job(job, cache=cache)
+        assert record.ok and not record.from_cache
+        assert cache.write_failures == 1
+        assert cache.stats()["write_failures"] == 1
+        again = run_job(job, cache=cache)  # memoised despite the failed write
+        assert again.from_cache and again.result is record.result
+
+    def test_failed_replace_removes_the_temp_file(self, tmp_path):
+        cache = ResultCache(root=tmp_path / "cache")
+        record = execute_job(SimJob(benchmark="hmmer", max_instructions=60_000))
+        # A directory squatting on the entry's path fails os.replace after
+        # the temp file is written.
+        (cache.root / "squatted.json" / "occupant").mkdir(parents=True)
+        cache.put("squatted", record)
+        assert cache.write_failures == 1
+        assert [path.name for path in cache.root.iterdir()] == ["squatted.json"]
+
+    def test_semantics_version_salts_the_key_not_the_payload(self, monkeypatch):
+        job = SimJob(benchmark="hmmer", max_instructions=60_000)
+        cache = ResultCache()
+        run_job(job, cache=cache)
+        entry = json.loads((cache.root / f"{job.key()}.json").read_text())
+        assert set(entry) == {"schema", "version", "result", "phase_log", "probes"}
+        old_key = job.key()
+        monkeypatch.setattr(
+            engine, "RESULT_SEMANTICS_VERSION", engine.RESULT_SEMANTICS_VERSION + 1
+        )
+        assert job.key() != old_key
+        assert cache.get(job.key()) is None  # the pre-bump entry is never served
+
 
 class TestSweepRunnerDeterminism:
     def test_parallel_matches_serial_bit_identical(self, monkeypatch, tmp_path):
@@ -286,7 +323,7 @@ class TestProbes:
         legacy = _legacy_timeseries_ipc(
             design, profile, keep_default, 400_000, 50_000
         )
-        probed = timeseries_ipc(design, profile, keep_default, 400_000, 50_000)
+        probed = timeseries_ipc(design, profile, None, 400_000, 50_000)
         assert legacy, "legacy loop produced samples"
         assert probed[: len(legacy)] == legacy  # bit-identical prefix
         assert len(probed) - len(legacy) <= 1  # plus at most the tail sample
@@ -304,7 +341,7 @@ class TestProbes:
         legacy = _legacy_timeseries_ipc(
             SERVER, profile, keep_default, 130_000, 50_000
         )
-        probed = timeseries_ipc(SERVER, profile, keep_default, 130_000, 50_000)
+        probed = timeseries_ipc(SERVER, profile, None, 130_000, 50_000)
         assert len(legacy) == 2
         assert len(probed) == 3
         assert probed[:2] == legacy
@@ -350,6 +387,35 @@ class TestProbes:
             probes=(IPCSeriesProbe(sample_instructions=10_000),),
         )
         assert plain.key() != probed.key()
+
+
+class TestWarmReplay:
+    def test_experiments_replay_without_simulating(self, monkeypatch):
+        from repro.experiments import fig02_bpu_phases, fig03_mlc_phases
+        from repro.experiments import table_thresholds
+
+        monkeypatch.setenv("REPRO_SCALE", "0.01")
+
+        def regenerate():
+            return (
+                table_thresholds.run(benchmarks=("hmmer",)).render(),
+                fig02_bpu_phases.ipc_series(
+                    max_instructions=120_000, sample_instructions=40_000
+                ),
+                fig03_mlc_phases.ipc_series(
+                    max_instructions=120_000, sample_instructions=40_000
+                ),
+            )
+
+        cold = regenerate()
+        engine.clear_memo()  # force the disk layer
+
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("a warm regeneration re-simulated a run")
+
+        monkeypatch.setattr(engine, "execute_job", no_simulation)
+        monkeypatch.setattr(HybridSimulator, "run", no_simulation)
+        assert regenerate() == cold
 
 
 class TestRunCachedShim:

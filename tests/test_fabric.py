@@ -378,6 +378,15 @@ class TestFabricScheduler:
         assert _counter(scheduler, "fabric_cache{event=hit}") == 2
         assert {e.status for e in scheduler.events} == {JobStatus.CACHED}
 
+    def test_batch_completes_when_cache_writes_fail(self, tmp_path):
+        blocker = tmp_path / "regular-file"
+        blocker.write_text("not a directory")
+        cache = ResultCache(root=blocker / "cache")
+        jobs = [_job(seed=1), _job(seed=2)]
+        records = FabricScheduler(workers=1, retry=FAST, cache=cache).run(jobs)
+        assert [r.ok for r in records] == [True, True]
+        assert cache.write_failures == 2
+
     def test_retry_success_after_one_crash(self, crashing_job):
         """Crash-once: the job's first worker dies, the retry lands."""
         jobs = [

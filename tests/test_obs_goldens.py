@@ -81,3 +81,10 @@ class TestDiff:
         stale = copy.deepcopy(expected)
         stale["schema"] = 0
         assert any("schema" in line for line in diff_goldens(stale, expected))
+
+    def test_reports_result_semantics_mismatch(self, captures):
+        expected = captures[GOLDEN_SPECS[0].name]
+        stale = copy.deepcopy(expected)
+        stale["result_semantics"] -= 1
+        problems = diff_goldens(stale, expected)
+        assert any("result_semantics" in line for line in problems)

@@ -1,5 +1,6 @@
 """Smoke tests for the repository scripts."""
 
+import json
 import runpy
 import sys
 
@@ -125,6 +126,23 @@ class TestDeterminismLint:
         )
         assert self._codes(lint, scan, tmp_path) == []
 
+    def test_flags_hand_built_simulations_in_experiments(self, tmp_path):
+        lint = self._lint()
+        source = (
+            "from repro.sim import simulator\n"
+            "from repro.sim.simulator import run_simulation\n"
+            "def a(design, workload):\n"
+            "    return simulator.HybridSimulator(design, workload).run(10)\n"
+            "def b(name):\n"
+            "    return run_simulation(name)\n"
+        )
+        pkg = tmp_path / "repro" / "experiments"
+        pkg.mkdir(parents=True)
+        inside = pkg / "case.py"
+        inside.write_text(source)
+        assert [v[2] for v in lint.lint_file(inside)] == ["D006", "D006"]
+        assert self._codes(lint, source, tmp_path) == []  # experiments only
+
     def _backend_codes(self, lint, source, tmp_path):
         """Lint ``source`` as if it lived in repro/sim/backends."""
         pkg = tmp_path / "repro" / "sim" / "backends"
@@ -176,6 +194,59 @@ class TestDeterminismLint:
             "    return xs, name, n, table\n"
         )
         assert self._codes(lint, source, tmp_path) == []
+
+
+class TestUpdateGoldens:
+    def _script(self):
+        sys.path.insert(0, "scripts")
+        try:
+            import update_goldens
+        finally:
+            sys.path.pop(0)
+        return update_goldens
+
+    @staticmethod
+    def _capture(version, kind):
+        def capture(spec):
+            return {
+                "schema": 1,
+                "result_semantics": version,
+                "name": spec.name,
+                "events": [{"kind": kind}],
+            }
+
+        return capture
+
+    def _fixtures(self, tmp_path):
+        return {path.name: path.read_text() for path in tmp_path.iterdir()}
+
+    def test_refuses_changed_fixture_without_a_bump(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        script = self._script()
+        current = script.RESULT_SEMANTICS_VERSION
+        monkeypatch.setattr(script, "capture_golden", self._capture(current, "unit_gate"))
+        assert script.main(tmp_path) == 0  # no fixtures yet: written
+        written = self._fixtures(tmp_path)
+        assert len(written) == len(script.GOLDEN_SPECS)
+        assert script.main(tmp_path) == 0  # same content: no bump needed
+        monkeypatch.setattr(script, "capture_golden", self._capture(current, "unit_regate"))
+        assert script.main(tmp_path) == 1
+        assert self._fixtures(tmp_path) == written  # nothing written
+        assert "RESULT_SEMANTICS_VERSION" in capsys.readouterr().out
+
+    def test_rewrites_changed_fixture_after_a_bump(self, monkeypatch, tmp_path):
+        script = self._script()
+        old = script.RESULT_SEMANTICS_VERSION
+        monkeypatch.setattr(script, "capture_golden", self._capture(old, "unit_gate"))
+        assert script.main(tmp_path) == 0
+        monkeypatch.setattr(script, "RESULT_SEMANTICS_VERSION", old + 1)
+        monkeypatch.setattr(script, "capture_golden", self._capture(old + 1, "unit_regate"))
+        assert script.main(tmp_path) == 0
+        for text in self._fixtures(tmp_path).values():
+            fixture = json.loads(text)
+            assert fixture["result_semantics"] == old + 1
+            assert fixture["events"] == [{"kind": "unit_regate"}]
 
 
 class TestGenerateExperimentsScript:

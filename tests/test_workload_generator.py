@@ -1,6 +1,7 @@
 """Unit tests for address streams, region building and trace generation."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -186,3 +187,25 @@ class TestSyntheticWorkload:
         workload = build_workload(get_profile("hmmer"))
         count = sum(1 for _ in workload.trace(20_000))
         assert count > 500
+
+    @pytest.mark.parametrize("name", ["google", "milc"])
+    def test_address_free_walk_matches_full_walk(self, name):
+        # google mixes random accesses into its loops (random_frac > 0);
+        # milc streams.  Short schedule visits make the budget span
+        # several repeats of the schedule.
+        profile = get_profile(name)
+        profile = replace(
+            profile,
+            phases=tuple(replace(decl, blocks=300) for decl in profile.phases),
+        )
+        full = list(build_workload(profile).trace(100_000))
+        bare_workload = build_workload(profile)
+        bare = list(bare_workload.trace(100_000, addresses=False))
+        per_pass = sum(n for _phase, n in bare_workload.schedule)
+        assert len(full) > 2 * per_pass
+        assert any(be.addresses for be in full)
+        assert [(be.block.pc, be.taken, be.phase_name) for be in bare] == [
+            (be.block.pc, be.taken, be.phase_name) for be in full
+        ]
+        assert all(be.addresses == () for be in bare)
+        assert all(p.stream is None for p in bare_workload.phases.values())
