@@ -69,8 +69,9 @@ def pytest_sessionfinish(session, exitstatus):
         "the paper's evaluation: the paper's claim and our measured "
         "rendering.  Regenerate standalone with "
         "`python scripts/generate_experiments_md.py`.  Simulations run "
-        "through `repro.sim.engine` (REPRO_JOBS workers, "
-        f"{cache_note}).",
+        "one at a time through `repro.sim.engine` (only "
+        "`table_sensitivity`'s sweeps use a process pool, REPRO_JOBS "
+        f"workers wide; {cache_note}).",
         "",
         "Reconstructed parameters (truncated in the available paper text): "
         "`Threshold_VPU = Threshold_BPU = Threshold_MLC1 = 0.01`, "

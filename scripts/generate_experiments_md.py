@@ -91,8 +91,9 @@ def main() -> None:
         "Generated by `scripts/generate_experiments_md.py` "
         f"(REPRO_SCALE={scale}).  For each artifact in the paper's "
         "evaluation: the paper's claim, our measured rendering, and notes.  "
-        "Simulations run through `repro.sim.engine`: `REPRO_JOBS` sets the "
-        "process-pool width, and results persist in the on-disk cache at "
+        "Simulations run one at a time through `repro.sim.engine` (only "
+        "`table_sensitivity`'s sweeps use a process pool, `REPRO_JOBS` "
+        "workers wide), and results persist in the on-disk cache at "
         "`REPRO_CACHE_DIR` (default `~/.cache/repro-powerchop`; "
         "`REPRO_CACHE=0` disables it), so reruns at the same scale replay "
         "cached results.",

@@ -41,10 +41,12 @@ The simulator's reproducibility rests on two conventions:
 
 6. Experiments (:mod:`repro.experiments`) describe every simulation as
    a :class:`~repro.sim.engine.SimJob` and run it through
-   ``engine.run_job``, so a warm regeneration replays it from the result
-   cache.  A ``HybridSimulator(...)`` or ``run_simulation(...)`` call
-   there builds a simulation the cache never sees, so this lint rejects
-   it (rule D006).
+   ``engine.run_job``, and every workload walk as a function in
+   :mod:`repro.analysis.walks` run through ``engine.run_analysis``, so a
+   warm regeneration replays both from the result cache.  A
+   ``HybridSimulator(...)`` or ``run_simulation(...)`` call there builds a
+   simulation the cache never sees, and a ``.trace(...)`` call walks a
+   workload on every regeneration, so this lint rejects both (rule D006).
 
 Usage:
     python scripts/lint_determinism.py [paths ...]
@@ -100,8 +102,8 @@ _BACKENDS_PACKAGE = "repro/sim/backends"
 #: loop's RNG call order (same method, same sequence of draws).
 _RNG_PRAGMA = "# lint: rng-mirrored"
 
-#: The package whose simulations must be engine jobs (rule D006), and the
-#: calls that build or run a simulation outside the engine.
+#: The package whose simulations and walks must go through the engine
+#: (rule D006), and the calls that build or run a simulation outside it.
 _EXPERIMENTS_PACKAGE = "repro/experiments"
 _ENGINE_BYPASS_CALLS = frozenset({"HybridSimulator", "run_simulation"})
 
@@ -281,6 +283,14 @@ class _Linter(ast.NodeVisitor):
                 f"'{callee}(...)' in an experiment runs a simulation the "
                 "result cache never sees; describe it as an engine.SimJob "
                 "and run it through engine.run_job",
+            )
+        elif isinstance(node.func, ast.Attribute) and node.func.attr == "trace":
+            self._flag(
+                node,
+                "D006",
+                "'.trace(...)' in an experiment walks a workload on every "
+                "regeneration; move the walk into repro.analysis.walks and "
+                "run it through engine.run_analysis",
             )
 
     def visit_Assign(self, node: ast.Assign) -> None:

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 from typing import List
 
+from repro.analysis import walks
 from repro.experiments.common import ExperimentResult
-from repro.workloads.profiles import build_workload
-from repro.workloads.suites import get_profile
+from repro.sim import engine
 
 
 def vector_intensity_series(
@@ -20,20 +20,14 @@ def vector_intensity_series(
     max_instructions: int = 2_000_000,
     seed: int | None = None,
 ) -> List[float]:
-    """Fraction of instructions that are vector ops, per shard."""
-    workload = build_workload(get_profile(benchmark), seed)
-    series: List[float] = []
-    shard_instr = 0
-    shard_vec = 0
-    for block_exec in workload.trace(max_instructions, addresses=False):
-        block = block_exec.block
-        shard_instr += block.n_instr
-        shard_vec += block.n_vec
-        if shard_instr >= shard_instructions:
-            series.append(shard_vec / shard_instr)
-            shard_instr = 0
-            shard_vec = 0
-    return series
+    """Fraction of instructions that are vector ops, per shard (cached)."""
+    return engine.run_analysis(
+        walks.vector_intensity_series,
+        benchmark=benchmark,
+        shard_instructions=shard_instructions,
+        max_instructions=max_instructions,
+        seed=seed,
+    )
 
 
 def run(max_instructions: int = 2_000_000) -> ExperimentResult:

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from typing import Dict, List
 
+from repro.analysis import walks
 from repro.experiments.common import ExperimentResult
-from repro.workloads.profiles import build_workload
-from repro.workloads.suites import ALL_BENCHMARKS, get_profile
+from repro.sim import engine
+from repro.workloads.suites import ALL_BENCHMARKS
 
 
 def shard_histogram(
@@ -21,26 +22,13 @@ def shard_histogram(
     shard_instructions: int = 1000,
     max_instructions: int = 1_000_000,
 ) -> Dict[str, float]:
-    """Fractions of shards with V=0, 0<V<=4, V>4 vector operations."""
-    workload = build_workload(get_profile(benchmark))
-    zero = low = high = 0
-    shard_instr = 0
-    shard_vec = 0
-    for block_exec in workload.trace(max_instructions, addresses=False):
-        block = block_exec.block
-        shard_instr += block.n_instr
-        shard_vec += block.n_vec
-        if shard_instr >= shard_instructions:
-            if shard_vec == 0:
-                zero += 1
-            elif shard_vec <= 4:
-                low += 1
-            else:
-                high += 1
-            shard_instr = 0
-            shard_vec = 0
-    total = max(zero + low + high, 1)
-    return {"zero": zero / total, "low": low / total, "high": high / total}
+    """Fractions of shards with V=0, 0<V<=4, V>4 vector operations (cached)."""
+    return engine.run_analysis(
+        walks.shard_histogram,
+        benchmark=benchmark,
+        shard_instructions=shard_instructions,
+        max_instructions=max_instructions,
+    )
 
 
 def run(benchmarks: List[str] | None = None) -> ExperimentResult:

@@ -12,19 +12,19 @@ cannot cover.
 The drowsy model is driven by the workload's MLC-demand stream (addresses
 filtered through a private L1 of the same geometry) with time approximated
 at one instruction per cycle — adequate for a leakage-residency bound, as
-noted in EXPERIMENTS.md.
+noted in EXPERIMENTS.md.  The walk itself is
+:func:`repro.analysis.walks.drowsy_mlc_walk`, cached as an engine analysis.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
+from repro.analysis import walks
 from repro.experiments.common import ExperimentResult, instructions_for, run_cached
+from repro.sim import engine
 from repro.sim.simulator import GatingMode
-from repro.uarch.cache.cache import SetAssocCache
-from repro.uarch.cache.drowsy import DrowsyMLCController, DrowsySetAssocCache
 from repro.uarch.config import design_for_suite
-from repro.workloads.profiles import build_workload
 from repro.workloads.suites import get_profile
 
 _DEFAULT_APPS = ("gems", "libquantum", "hmmer", "amazon")
@@ -33,35 +33,26 @@ _DEFAULT_APPS = ("gems", "libquantum", "hmmer", "amazon")
 def drowsy_mlc_stats(
     benchmark: str, interval_cycles: float = 4000.0, fraction: float = 0.25
 ):
-    """Replay a workload's MLC-demand stream through a drowsy MLC."""
-    profile = get_profile(benchmark)
-    design = design_for_suite(profile.suite)
-    budget = instructions_for(design, fraction)
-    workload = build_workload(profile)
-    l1 = SetAssocCache(design.l1_kb, design.l1_assoc, design.line_size, "L1")
-    mlc = DrowsySetAssocCache(
-        design.mlc_kb, design.mlc_assoc, design.line_size, "drowsyMLC"
+    """Drowsy-MLC leakage factor, wake overhead and drowse events.
+
+    The walk is a cached engine analysis.  Its wake stalls are rescaled
+    here by the benchmark's full-power CPI, so the cached value never
+    depends on a simulation result outside its key.
+    """
+    design = design_for_suite(get_profile(benchmark).suite)
+    walk = engine.run_analysis(
+        walks.drowsy_mlc_walk,
+        benchmark=benchmark,
+        interval_cycles=interval_cycles,
+        max_instructions=instructions_for(design, fraction),
     )
-    controller = DrowsyMLCController(mlc, interval_cycles)
-    cycles = 0.0
-    for block_exec in workload.trace(budget):
-        cycles += block_exec.block.n_instr  # ~1 IPC time approximation
-        controller.tick(cycles)
-        addresses = block_exec.addresses
-        if addresses:
-            loads = block_exec.block.n_loads
-            for i, addr in enumerate(addresses):
-                if not l1.access(addr, i >= loads):
-                    mlc.access_timed(addr, cycles, i >= loads)
-    leak_factor = controller.mlc_leakage_factor(cycles)
+    cycles = walk["cycles"]
     # Overhead relative to realistic cycle counts: rescale the 1-IPC time
     # approximation by the benchmark's measured full-power CPI.
     full, _ = run_cached(benchmark, GatingMode.FULL)
     cpi = full.cycles / full.instructions if full.instructions else 1.0
-    wake_overhead = (
-        controller.wake_stall_cycles() / (cycles * cpi) if cycles else 0.0
-    )
-    return leak_factor, wake_overhead, controller.drowse_events
+    wake_overhead = walk["wake_stall_cycles"] / (cycles * cpi) if cycles else 0.0
+    return walk["leak_factor"], wake_overhead, walk["drowse_events"]
 
 
 def powerchop_mlc_leak_factor(benchmark: str) -> float:

@@ -12,6 +12,9 @@ This is the single way to describe, instrument, run and cache simulations:
   repeated calls return the *same* objects) and a persistent on-disk JSON
   :class:`ResultCache` keyed by job hash, salted by the package version
   and :data:`RESULT_SEMANTICS_VERSION`;
+- :func:`run_analysis` — the same two layers for a deterministic workload
+  analysis (a read-only walk such as a shard histogram): it runs once and
+  its JSON value is replayed afterwards;
 - :class:`SweepRunner` — run batches of jobs across a
   ``ProcessPoolExecutor`` (worker count from ``REPRO_JOBS``; results come
   back in job order regardless of completion order, bit-identical to the
@@ -61,6 +64,7 @@ __all__ = [
     "execute_job",
     "failed_record",
     "register_schema_migration",
+    "run_analysis",
     "run_job",
     "run_jobs",
     "clear_memo",
@@ -81,20 +85,22 @@ __all__ = [
 #: became a deprecated alias for it.
 CACHE_SCHEMA_VERSION = 4
 
-#: Bump whenever a code change alters what any job computes (results,
-#: phase logs, probe values).  It salts :meth:`SimJob.key`, so entries
-#: written before the bump become unreachable instead of being replayed as
-#: stale answers; the package version alone has not moved in many changes.
+#: Bump whenever a code change alters what any job or analysis computes
+#: (results, phase logs, probe values, :func:`run_analysis` values).  It
+#: salts :meth:`SimJob.key` and the analysis key, so entries written before
+#: the bump become unreachable instead of being replayed as stale answers;
+#: the package version alone has not moved in many changes.
 #: The golden-trace fixtures (``tests/goldens``) record the value they were
 #: captured under, and ``scripts/update_goldens.py`` refuses to rewrite a
 #: fixture whose decisions changed while the recorded value is current.
 RESULT_SEMANTICS_VERSION = 1
 
 #: Schema-version migration hooks: ``{from_version: fn(payload) -> payload}``.
-#: Each hook receives the raw JSON payload of an entry written under
+#: Each hook receives the raw JSON payload of an entry (a job record, or a
+#: :func:`run_analysis` value under ``"value"``) written under
 #: ``from_version`` and must return a payload valid under a *newer*
-#: version, with its ``"schema"`` field updated.  :meth:`ResultCache.get`
-#: chains hooks until the payload reaches ``CACHE_SCHEMA_VERSION`` (or no
+#: version, with its ``"schema"`` field updated.  :class:`ResultCache` reads
+#: chain hooks until the payload reaches ``CACHE_SCHEMA_VERSION`` (or no
 #: hook applies — then the entry is a miss).  The schema version is
 #: deliberately *not* part of :meth:`SimJob.key`, so a bump alone does not
 #: orphan entries — registering a migration keeps them readable.
@@ -384,15 +390,17 @@ def _default_budget() -> int:
 
 
 class ResultCache:
-    """Persistent on-disk JSON cache of :class:`JobRecord`, one file per key.
+    """Persistent on-disk JSON cache, one file per key.
 
-    The directory comes from ``REPRO_CACHE_DIR`` (default
-    ``~/.cache/repro-powerchop``); ``REPRO_CACHE=0`` disables reads and
-    writes.  Entries are invalidated implicitly: the package version and
-    :data:`RESULT_SEMANTICS_VERSION` salt the job hash, and any config
-    change alters the key.  Corrupt or
-    unreadable entries are treated as misses.  Entries written under an
-    older ``CACHE_SCHEMA_VERSION`` are run through the
+    Entries are :class:`JobRecord` payloads (``get``/``put``) or
+    :func:`run_analysis` values (``get_value``/``put_value``); both kinds
+    share one read and one write path.  The directory comes from
+    ``REPRO_CACHE_DIR`` (default ``~/.cache/repro-powerchop``);
+    ``REPRO_CACHE=0`` disables reads and writes.  Entries are invalidated
+    implicitly: the package version and :data:`RESULT_SEMANTICS_VERSION`
+    salt every key, and any config change alters the key.  Corrupt,
+    malformed or unreadable entries are treated as misses.  Entries
+    written under an older ``CACHE_SCHEMA_VERSION`` are run through the
     :data:`SCHEMA_MIGRATIONS` chain; an entry no chain can bring current
     is a miss.
 
@@ -460,47 +468,42 @@ class ResultCache:
             data = hook(data)
         return data
 
-    def get(self, key: str) -> Optional[JobRecord]:
+    def _read(
+        self, key: str, decode: Callable[[Dict[str, Any]], Any], default: Any = None
+    ) -> Any:
+        """Decode the entry at ``key``, or return ``default`` on a miss.
+
+        Shared by both entry kinds.  An unreadable file, invalid JSON, an
+        unmigratable schema, or JSON of the wrong shape makes the entry a
+        miss: a missing field raises ``KeyError``, and a value of the wrong
+        kind where an object is expected (the entry itself, or a field
+        ``decode`` reads) raises ``AttributeError`` or ``TypeError``.
+        """
         if not self.enabled:
-            return None
+            return default
         path = self._path(key)
         try:
             with open(path) as handle:
                 data = json.load(handle)
-            data = self._migrate(data)
-            record = JobRecord(
-                job_key=key,
-                result=SimulationResult.from_dict(data["result"]),
-                phase_log=[
-                    (tuple(signature), {int(tid): count for tid, count in vector.items()})
-                    for signature, vector in data["phase_log"]
-                ],
-                probes=data.get("probes", {}),
-                from_cache=True,
-            )
-        except (OSError, ValueError, KeyError, TypeError):
+            value = decode(self._migrate(data))
+        except (OSError, ValueError, KeyError, TypeError, AttributeError):
             self.misses += 1
-            return None
+            return default
         self.hits += 1
         self._touch(path)
-        return record
+        return value
 
-    def put(self, key: str, record: JobRecord) -> None:
-        if not self.enabled or record.result is None:
-            return
-        payload = {
-            "schema": CACHE_SCHEMA_VERSION,
-            "version": _code_version(),
-            "result": record.result.to_dict(),
-            "phase_log": [
-                [list(signature), vector] for signature, vector in record.phase_log
-            ],
-            "probes": record.probes,
-        }
+    def _write(self, key: str, body: Dict[str, Any]) -> None:
+        """Atomically store ``body`` (stamped with schema and version) at ``key``.
+
+        Shared by both entry kinds: a temp file replaced into place, a
+        counted failure on ``OSError``, then touch and eviction.
+        """
+        payload = {"schema": CACHE_SCHEMA_VERSION, "version": _code_version(), **body}
         try:
             text = json.dumps(payload)
         except TypeError:
-            return  # non-JSON probe value; skip persistence, keep the memo
+            return  # a non-JSON probe value; skip persistence, keep the memo
         path = self._path(key)
         tmp = path.with_suffix(".tmp%d" % os.getpid())
         try:
@@ -508,7 +511,7 @@ class ResultCache:
             tmp.write_text(text)
             os.replace(tmp, path)
         except OSError:
-            # Full disk, read-only or missing directory: the simulation
+            # Full disk, read-only or missing directory: the computation
             # already succeeded, so losing its persistence must not lose
             # the result.  Count the failure and keep the memo.
             self.write_failures += 1
@@ -519,6 +522,44 @@ class ResultCache:
             return
         self._touch(path)
         self.evict_to_budget()
+
+    def get(self, key: str) -> Optional[JobRecord]:
+        def decode(data: Dict[str, Any]) -> JobRecord:
+            return JobRecord(
+                job_key=key,
+                result=SimulationResult.from_dict(data["result"]),
+                phase_log=[
+                    (tuple(signature), {int(tid): count for tid, count in vector.items()})
+                    for signature, vector in data["phase_log"]
+                ],
+                probes=data.get("probes", {}),
+                from_cache=True,
+            )
+
+        return self._read(key, decode)
+
+    def put(self, key: str, record: JobRecord) -> None:
+        if not self.enabled or record.result is None:
+            return
+        self._write(
+            key,
+            {
+                "result": record.result.to_dict(),
+                "phase_log": [
+                    [list(signature), vector] for signature, vector in record.phase_log
+                ],
+                "probes": record.probes,
+            },
+        )
+
+    def get_value(self, key: str, default: Any = None) -> Any:
+        """The :func:`run_analysis` value stored at ``key``, else ``default``."""
+        return self._read(key, lambda data: data["value"], default)
+
+    def put_value(self, key: str, value: Any) -> None:
+        """Store a JSON-native :func:`run_analysis` value at ``key``."""
+        if self.enabled:
+            self._write(key, {"value": value})
 
     # ------------------------------------------------------- lifecycle
 
@@ -594,10 +635,17 @@ class ResultCache:
 #: the *same* record object back, which the experiment layer relies on.
 _MEMO: Dict[str, JobRecord] = {}
 
+#: Per-process memo of :func:`run_analysis` values: analysis key -> value.
+_ANALYSES: Dict[str, Any] = {}
+
+#: ``get_value`` default marking a miss (a stored value may be ``None``).
+_MISSING = object()
+
 
 def clear_memo() -> None:
-    """Drop the per-process memo (the on-disk cache is unaffected)."""
+    """Drop the per-process memos (the on-disk cache is unaffected)."""
     _MEMO.clear()
+    _ANALYSES.clear()
 
 
 def memo_get(key: str) -> Optional[JobRecord]:
@@ -627,6 +675,46 @@ def run_job(job: SimJob, cache: Optional[ResultCache] = None) -> JobRecord:
         cache.put(key, record)
     _MEMO[key] = record
     return record
+
+
+def run_analysis(fn: Callable[..., Any], **params: Any) -> Any:
+    """Run the workload analysis ``fn(**params)`` once; replay its value after.
+
+    ``fn`` must be a module-level function (its qualified name is part of
+    the key, so closures and lambdas are rejected) whose JSON-native value
+    depends only on ``params`` and the code.  The key hashes the package
+    version, :data:`RESULT_SEMANTICS_VERSION`, ``fn``'s module-qualified
+    name and the sorted ``params`` the way :meth:`SimJob.key` hashes a job,
+    so pass every input explicitly and keep ``params`` plain values with
+    stable reprs.  Bump :data:`RESULT_SEMANTICS_VERSION` when an analysis's
+    output changes.
+
+    Values go through the per-process memo and the :class:`ResultCache`.
+    A cold call returns the value after a JSON round trip, so cold and
+    warm calls return equal values of the same types (tuples come back as
+    lists).  A memo hit returns the same object again: treat it as
+    read-only.
+    """
+    if "<" in fn.__qualname__:
+        raise ValueError(
+            f"run_analysis needs a module-level function, got {fn.__qualname__!r}"
+        )
+    parts = (
+        f"version={_code_version()}",
+        f"semantics={RESULT_SEMANTICS_VERSION}",
+        f"analysis={fn.__module__}.{fn.__qualname__}",
+        *(f"{name}={value!r}" for name, value in sorted(params.items())),
+    )
+    key = hashlib.sha256("\n".join(parts).encode()).hexdigest()
+    if key in _ANALYSES:
+        return _ANALYSES[key]
+    cache = ResultCache()
+    value = cache.get_value(key, _MISSING)
+    if value is _MISSING:
+        value = json.loads(json.dumps(fn(**params)))
+        cache.put_value(key, value)
+    _ANALYSES[key] = value
+    return value
 
 
 # ------------------------------------------------------------------ sweep

@@ -154,9 +154,18 @@ class TestResultCache:
         cache = ResultCache()
         run_job(job, cache=cache)
         path = cache.root / f"{job.key()}.json"
-        path.write_text("{not json")
-        engine.clear_memo()
-        assert ResultCache().get(job.key()) is None
+        schema = engine.CACHE_SCHEMA_VERSION
+        for text in (
+            "{not json",
+            "[]",
+            "null",
+            "3",
+            f'{{"schema": {schema}, "result": []}}',
+        ):
+            path.write_text(text)
+            engine.clear_memo()
+            assert ResultCache().get(job.key()) is None, text
+            assert ResultCache().get_value(job.key(), "miss") == "miss", text
 
     def test_disable_via_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE", "0")
@@ -416,6 +425,110 @@ class TestWarmReplay:
         monkeypatch.setattr(engine, "execute_job", no_simulation)
         monkeypatch.setattr(HybridSimulator, "run", no_simulation)
         assert regenerate() == cold
+
+
+    def test_analyses_replay_without_walking(self, monkeypatch):
+        from repro.experiments import fig01_vpu_phases, fig15_vector_prevalence
+        from repro.experiments import table_drowsy
+        from repro.workloads.generator import SyntheticWorkload
+
+        monkeypatch.setenv("REPRO_SCALE", "0.01")
+
+        def regenerate():
+            return (
+                fig01_vpu_phases.run(max_instructions=200_000).render(),
+                fig15_vector_prevalence.run(benchmarks=["namd"]).render(),
+                table_drowsy.run(benchmarks=("hmmer",)).render(),
+            )
+
+        cold = regenerate()
+        engine.clear_memo()  # force the disk layer
+
+        def no_execution(*args, **kwargs):
+            raise AssertionError("a warm regeneration simulated or walked")
+
+        monkeypatch.setattr(engine, "execute_job", no_execution)
+        monkeypatch.setattr(HybridSimulator, "run", no_execution)
+        monkeypatch.setattr(SyntheticWorkload, "trace", no_execution)
+        assert regenerate() == cold
+
+
+def _toy_analysis(n, label):
+    """A module-level analysis: tuples and ints and floats, JSON-native."""
+    return {"label": label, "squares": tuple(i * i for i in range(n)), "half": n / 2}
+
+
+@pytest.fixture
+def analysis_caches(monkeypatch):
+    """Every ResultCache that run_analysis creates, in order."""
+    created = []
+
+    class Recording(ResultCache):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            created.append(self)
+
+    monkeypatch.setattr(engine, "ResultCache", Recording)
+    return created
+
+
+class TestRunAnalysis:
+    def test_cold_and_warm_values_are_equal_with_types(self, analysis_caches):
+        cold = engine.run_analysis(_toy_analysis, n=3, label="x")
+        assert cold == {"label": "x", "squares": [0, 1, 4], "half": 1.5}
+        assert analysis_caches[0].misses == 1
+        assert engine.run_analysis(_toy_analysis, n=3, label="x") is cold  # memo
+        engine.clear_memo()
+        warm = engine.run_analysis(_toy_analysis, n=3, label="x")
+        assert analysis_caches[1].hits == 1  # read back from disk
+        assert warm == cold
+        for value in (cold, warm):
+            assert type(value["squares"]) is list
+            assert type(value["squares"][1]) is int
+            assert type(value["half"]) is float
+
+    def test_key_covers_every_param_and_the_semantics_version(self, monkeypatch):
+        root = ResultCache().root
+
+        def entries():
+            return len(list(root.glob("*.json")))
+
+        engine.run_analysis(_toy_analysis, n=3, label="x")
+        engine.run_analysis(_toy_analysis, n=3, label="x")
+        assert entries() == 1
+        engine.run_analysis(_toy_analysis, n=4, label="x")
+        assert entries() == 2
+        engine.run_analysis(_toy_analysis, n=3, label="y")
+        assert entries() == 3
+        monkeypatch.setattr(
+            engine, "RESULT_SEMANTICS_VERSION", engine.RESULT_SEMANTICS_VERSION + 1
+        )
+        engine.run_analysis(_toy_analysis, n=3, label="x")
+        assert entries() == 4
+
+    def test_failed_write_keeps_the_value(self, monkeypatch, tmp_path, analysis_caches):
+        blocker = tmp_path / "regular-file"
+        blocker.write_text("not a directory")
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(blocker / "cache"))
+        value = engine.run_analysis(_toy_analysis, n=2, label="x")
+        assert value == {"label": "x", "squares": [0, 1], "half": 1.0}
+        assert analysis_caches[0].write_failures == 1
+
+    def test_disabled_cache_still_returns_the_value(self, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE", "0")
+        value = engine.run_analysis(_toy_analysis, n=2, label="x")
+        assert value == {"label": "x", "squares": [0, 1], "half": 1.0}
+        root = ResultCache().root
+        assert not root.is_dir() or not list(root.glob("*.json"))
+
+    def test_rejects_closures(self):
+        def local(n):
+            return n
+
+        with pytest.raises(ValueError, match="module-level"):
+            engine.run_analysis(local, n=1)
+        with pytest.raises(ValueError, match="module-level"):
+            engine.run_analysis(lambda n: n, n=1)
 
 
 class TestRunCachedShim:

@@ -2,12 +2,23 @@
 
 import pytest
 
+from repro.analysis import walks
 from repro.experiments import (
     fig01_vpu_phases,
     fig02_bpu_phases,
     fig03_mlc_phases,
     fig15_vector_prevalence,
 )
+
+
+def _gobmk_series(max_instructions):
+    """Fig. 1's walk itself, bypassing the analysis cache."""
+    return walks.vector_intensity_series(
+        benchmark="gobmk",
+        shard_instructions=10_000,
+        max_instructions=max_instructions,
+        seed=None,
+    )
 
 
 class TestFig01:
@@ -19,13 +30,11 @@ class TestFig01:
         assert any(v > 0.05 for v in series)  # vector-busy stretches
 
     def test_series_values_are_fractions(self):
-        series = fig01_vpu_phases.vector_intensity_series(max_instructions=200_000)
-        assert all(0.0 <= v <= 1.0 for v in series)
+        series = _gobmk_series(200_000)
+        assert series and all(0.0 <= v <= 1.0 for v in series)
 
     def test_deterministic(self):
-        a = fig01_vpu_phases.vector_intensity_series(max_instructions=150_000)
-        b = fig01_vpu_phases.vector_intensity_series(max_instructions=150_000)
-        assert a == b
+        assert _gobmk_series(150_000) == _gobmk_series(150_000)
 
 
 class TestFig02And03Series:
@@ -48,8 +57,8 @@ class TestFig02And03Series:
 
 class TestFig15:
     def test_histogram_fractions_sum_to_one(self):
-        hist = fig15_vector_prevalence.shard_histogram(
-            "namd", max_instructions=300_000
+        hist = walks.shard_histogram(
+            benchmark="namd", shard_instructions=1000, max_instructions=300_000
         )
         assert hist["zero"] + hist["low"] + hist["high"] == pytest.approx(1.0)
 

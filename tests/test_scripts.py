@@ -135,12 +135,14 @@ class TestDeterminismLint:
             "    return simulator.HybridSimulator(design, workload).run(10)\n"
             "def b(name):\n"
             "    return run_simulation(name)\n"
+            "def c(workload):\n"
+            "    return [b.block.n_vec for b in workload.trace(100)]\n"
         )
         pkg = tmp_path / "repro" / "experiments"
         pkg.mkdir(parents=True)
         inside = pkg / "case.py"
         inside.write_text(source)
-        assert [v[2] for v in lint.lint_file(inside)] == ["D006", "D006"]
+        assert [v[2] for v in lint.lint_file(inside)] == ["D006"] * 3
         assert self._codes(lint, source, tmp_path) == []  # experiments only
 
     def _backend_codes(self, lint, source, tmp_path):
