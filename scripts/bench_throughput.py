@@ -26,15 +26,6 @@ RATIO — both backends must be measured in the same invocation.
 history entry that measured each backend/profile/mode cell, so runs with
 differing profile sets never record empty ratio maps.
 
-``--update`` also records a ``walk_memo`` section: pass-A wall-clock on
-the ``--memo-profiles`` set (default: dgemm) with and without proof
-certificates, plus the memo hit counters — the measured effect of the
-walk-trace memoization (``repro.staticcheck.proofs``).  This is recorded,
-not gated: memoization only applies to certified-deterministic kernel
-profiles.  The ``milc:1.5`` speedup floor in CI is unaffected — milc's
-branch models are stochastic, so it never certifies and its vectorized
-speedup comes entirely from the batch kernels, proofs or not.
-
 Usage:
     python scripts/bench_throughput.py [--profiles gobmk bzip2]
         [--backend fastpath --backend vectorized]
@@ -51,7 +42,7 @@ import sys
 import time
 from pathlib import Path
 
-from repro.sim.backends import available_backends
+from repro.sim.backends import DEFAULT_BACKEND, available_backends
 from repro.sim.simulator import GatingMode, HybridSimulator
 from repro.uarch.config import design_for_suite
 from repro.workloads.profiles import build_workload
@@ -59,7 +50,7 @@ from repro.workloads.suites import get_profile
 
 MODES = (GatingMode.FULL, GatingMode.POWERCHOP, GatingMode.MINIMAL)
 DEFAULT_PROFILES = ("gobmk", "bzip2")
-DEFAULT_BACKENDS = ("fastpath",)
+DEFAULT_BACKENDS = (DEFAULT_BACKEND,)
 
 
 def measure_once(benchmark: str, budget: int, mode: GatingMode, backend: str) -> float:
@@ -92,44 +83,6 @@ def measure(profiles, budget: int, repeats: int, backends) -> dict:
                     f"{rates[backend][name][mode.value]:6.2f} M guest-instructions/s"
                 )
     return rates
-
-
-def memo_breakdown(benchmark: str, budget: int) -> dict:
-    """Pass-A seconds and memo counters, with and without certificates."""
-    from repro.staticcheck.proofs import ProofStore
-
-    out: dict = {}
-    for tag in ("baseline", "proofs"):
-        profile = get_profile(benchmark)
-        design = design_for_suite(profile.suite)
-        workload = build_workload(profile)
-        proofs = (
-            ProofStore().get_or_certify(profile, workload=workload)
-            if tag == "proofs"
-            else None
-        )
-        simulator = HybridSimulator(
-            design,
-            workload,
-            GatingMode.POWERCHOP,
-            backend="vectorized",
-            proofs=proofs,
-        )
-        simulator.run(budget)
-        fs = simulator.fastpath_state
-        total = fs.pass_a_seconds + fs.pass_b_seconds + fs.scalar_seconds
-        out[tag] = {
-            "pass_a_seconds": round(fs.pass_a_seconds, 4),
-            "pass_a_share": round(fs.pass_a_seconds / total, 3) if total else 0.0,
-            "memo_hits": fs.walk_memo_hits,
-            "memo_records": fs.walk_memo_records,
-            "blocks_replayed": fs.walk_memo_blocks,
-        }
-    base = out["baseline"]["pass_a_seconds"]
-    with_p = out["proofs"]["pass_a_seconds"]
-    if with_p:
-        out["pass_a_speedup"] = round(base / with_p, 2)
-    return out
 
 
 def normalize_rates(rates: dict) -> dict:
@@ -266,7 +219,7 @@ def main() -> int:
         action="append",
         choices=available_backends(),
         default=None,
-        help="execution backend to measure; repeatable (default: fastpath)",
+        help=f"execution backend to measure; repeatable (default: {DEFAULT_BACKEND})",
     )
     parser.add_argument("--budget", type=int, default=1_000_000)
     parser.add_argument("--repeats", type=int, default=3)
@@ -280,14 +233,6 @@ def main() -> int:
         metavar="PROFILE:RATIO",
         help="fail unless the best-mode vectorized/fastpath ratio for "
         "PROFILE is at least RATIO; repeatable (CI perf-smoke gate)",
-    )
-    parser.add_argument(
-        "--memo-profiles",
-        nargs="*",
-        default=["dgemm"],
-        help="certified-deterministic profiles whose walk-memo pass-A "
-        "effect is recorded on --update (default: dgemm; pass no names "
-        "to skip)",
     )
     parser.add_argument(
         "--output",
@@ -322,11 +267,6 @@ def main() -> int:
             record["current"]["speedup_vs_previous"] = speedup
         if cross:
             record["current"]["vectorized_speedup_vs_fastpath"] = cross
-        if args.memo_profiles:
-            record["current"]["walk_memo"] = {
-                name: memo_breakdown(name, args.budget)
-                for name in args.memo_profiles
-            }
         args.output.write_text(json.dumps(record, indent=2) + "\n")
         print(f"wrote {args.output}")
 

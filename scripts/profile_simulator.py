@@ -7,12 +7,12 @@ to keep the full 29-app benchmark suite within its time budget.
 
 Usage:
     python scripts/profile_simulator.py [benchmark] [instructions]
-        [--cprofile] [--json] [--backend NAME] [--no-fastpath]
+        [--cprofile] [--json] [--backend NAME] [--breakdown]
 
 ``--json`` emits ``{"mode": instr_per_second, ...}`` on stdout (for
 scripts/bench_throughput.py and the CI perf-smoke job); ``--backend``
-selects the execution backend (reference / fastpath / vectorized;
-``--no-fastpath`` is the deprecated spelling of ``--backend reference``).
+selects the execution backend (reference / fastpath / vectorized; default
+``repro.sim.backends.DEFAULT_BACKEND``).
 
 ``--breakdown`` runs one extra POWERCHOP simulation and reports where its
 wall-clock went: pass A (the recording walk), pass B (the array flush
@@ -20,11 +20,6 @@ kernels), and scalar (window-boundary blocks executed out of line).  With
 ``--json`` the output becomes ``{"rates": ..., "breakdown": ...}`` — the
 flat shape is kept whenever ``--breakdown`` is absent, so existing
 consumers are unaffected.
-
-``--proofs`` attaches a proof certificate (``repro.staticcheck.proofs``)
-to every run; on certified-deterministic profiles (dgemm, stencil) the
-vectorized backend then memoizes pass-A walk traces, and ``--breakdown``
-additionally reports the memo counters.
 """
 
 from __future__ import annotations
@@ -35,7 +30,7 @@ import json
 import pstats
 import time
 
-from repro.sim.backends import available_backends
+from repro.sim.backends import DEFAULT_BACKEND, available_backends
 from repro.sim.simulator import GatingMode, HybridSimulator
 from repro.uarch.config import design_for_suite
 from repro.workloads.profiles import build_workload
@@ -43,29 +38,16 @@ from repro.workloads.suites import get_profile
 
 
 def throughput(
-    benchmark: str,
-    budget: int,
-    mode: GatingMode,
-    backend: str = "fastpath",
-    use_proofs: bool = False,
+    benchmark: str, budget: int, mode: GatingMode, backend: str = DEFAULT_BACKEND
 ) -> float:
     profile = get_profile(benchmark)
     design = design_for_suite(profile.suite)
     workload = build_workload(profile)
-    proofs = _certificate(profile) if use_proofs else None
-    simulator = HybridSimulator(
-        design, workload, mode, backend=backend, proofs=proofs
-    )
+    simulator = HybridSimulator(design, workload, mode, backend=backend)
     start = time.perf_counter()
     result = simulator.run(budget)
     elapsed = time.perf_counter() - start
     return result.instructions / elapsed
-
-
-def _certificate(profile):
-    from repro.staticcheck.proofs import ProofStore
-
-    return ProofStore().get_or_certify(profile)
 
 
 def main() -> None:
@@ -74,14 +56,9 @@ def main() -> None:
     parser.add_argument("instructions", nargs="?", type=int, default=1_000_000)
     parser.add_argument(
         "--backend",
-        default=None,
+        default=DEFAULT_BACKEND,
         choices=available_backends(),
-        help="execution backend to measure (default: fastpath)",
-    )
-    parser.add_argument(
-        "--no-fastpath",
-        action="store_true",
-        help="deprecated: same as --backend reference",
+        help=f"execution backend to measure (default: {DEFAULT_BACKEND})",
     )
     parser.add_argument("--json", action="store_true")
     parser.add_argument("--cprofile", action="store_true")
@@ -91,22 +68,12 @@ def main() -> None:
         help="report the run loop's wall-clock split (pass A walk / "
         "pass B flushes / scalar boundary blocks) from one POWERCHOP run",
     )
-    parser.add_argument(
-        "--proofs",
-        action="store_true",
-        help="attach proof certificates (inert; unlocks walk-trace "
-        "memoization on certified-deterministic profiles)",
-    )
     args = parser.parse_args()
-
-    if args.backend and args.no_fastpath:
-        parser.error("--no-fastpath conflicts with --backend")
-    backend = args.backend or ("reference" if args.no_fastpath else "fastpath")
 
     rates = {}
     for mode in (GatingMode.FULL, GatingMode.POWERCHOP, GatingMode.MINIMAL):
         rates[mode.value] = throughput(
-            args.benchmark, args.instructions, mode, backend, args.proofs
+            args.benchmark, args.instructions, mode, args.backend
         )
 
     breakdown = None
@@ -115,11 +82,7 @@ def main() -> None:
         design = design_for_suite(profile.suite)
         workload = build_workload(profile)
         simulator = HybridSimulator(
-            design,
-            workload,
-            GatingMode.POWERCHOP,
-            backend=backend,
-            proofs=_certificate(profile) if args.proofs else None,
+            design, workload, GatingMode.POWERCHOP, backend=args.backend
         )
         simulator.run(args.instructions)
         fs = simulator.fastpath_state
@@ -132,14 +95,6 @@ def main() -> None:
             "pass_b_share": round(fs.pass_b_seconds / total, 3) if total else 0.0,
             "scalar_share": round(fs.scalar_seconds / total, 3) if total else 0.0,
         }
-        if args.proofs:
-            breakdown["walk_memo"] = {
-                "hits": fs.walk_memo_hits,
-                "records": fs.walk_memo_records,
-                "blocks_replayed": fs.walk_memo_blocks,
-                "proof_validations": fs.proof_validations,
-                "proof_rejections": fs.proof_rejections,
-            }
 
     if args.json:
         if breakdown is not None:
@@ -156,20 +111,13 @@ def main() -> None:
                     f"  {part:8s} {breakdown[part + '_seconds']:8.4f}s "
                     f"({breakdown[part + '_share']:5.1%})"
                 )
-            memo = breakdown.get("walk_memo")
-            if memo is not None:
-                print(
-                    f"  memo     {memo['hits']} hit(s) / "
-                    f"{memo['records']} record(s), "
-                    f"{memo['blocks_replayed']:,} blocks replayed"
-                )
 
     if args.cprofile:
         profile = get_profile(args.benchmark)
         design = design_for_suite(profile.suite)
         workload = build_workload(profile)
         simulator = HybridSimulator(
-            design, workload, GatingMode.POWERCHOP, backend=backend
+            design, workload, GatingMode.POWERCHOP, backend=args.backend
         )
         profiler = cProfile.Profile()
         profiler.enable()

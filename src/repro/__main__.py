@@ -9,9 +9,7 @@ Commands:
 - ``designs``     — print the two Table I design points.
 - ``staticcheck`` — static-analysis report (CFG verification + dataflow
   summaries) over workload profiles; exits non-zero on errors (or, with
-  ``--strict``, warnings).  ``--prove`` adds the proof pass: every profile
-  either certifies (region determinism, stream slot-disjointness, idle
-  window safety) or reports exactly why each region does not.
+  ``--strict``, warnings).
 - ``trace``       — run one benchmark with full observability and write a
   Chrome ``trace_event`` JSON (load it at https://ui.perfetto.dev), plus
   an optional per-unit gating timeline (``--timeline``).
@@ -34,7 +32,7 @@ import json
 import sys
 
 from repro.analysis.report import format_table
-from repro.sim.backends import available_backends
+from repro.sim.backends import DEFAULT_BACKEND, available_backends
 from repro.sim.engine import SimJob, SweepRunner, default_workers
 from repro.sim.results import (
     energy_reduction,
@@ -44,11 +42,11 @@ from repro.sim.results import (
 )
 from repro.sim.simulator import GatingMode, run_simulation
 from repro.uarch.config import design_by_name, design_for_suite
-from repro.workloads.suites import ALL_BENCHMARKS, KERNEL_BENCHMARKS, get_profile
+from repro.workloads.suites import ALL_BENCHMARKS, get_profile
 
 #: Version of the ``staticcheck --json`` payload shape.  Bump when keys
-#: move or change meaning; additive keys (like ``proofs``) don't require a
-#: bump, and consumers should pin on this rather than sniffing keys.
+#: move or change meaning; additive keys don't require a bump, and
+#: consumers should pin on this rather than sniffing keys.
 STATICCHECK_JSON_SCHEMA = 1
 
 
@@ -76,22 +74,9 @@ def _add_run_args(parser: argparse.ArgumentParser) -> None:
         "--backend",
         default=None,
         choices=available_backends(),
-        help="execution backend (default: fastpath); all backends are "
-        "bit-identical, this only changes simulation speed",
+        help=f"execution backend (default: {DEFAULT_BACKEND}); all backends "
+        "are bit-identical, this only changes simulation speed",
     )
-    parser.add_argument(
-        "--proofs",
-        action="store_true",
-        help="attach a proof certificate (cached in the proof store); "
-        "inert — results are bit-identical — but unlocks walk-trace "
-        "memoization on certified-deterministic regions",
-    )
-
-
-def _proofs_for(profile):
-    from repro.staticcheck.proofs import ProofStore
-
-    return ProofStore().get_or_certify(profile)
 
 
 def _resolve_design(args):
@@ -116,7 +101,6 @@ def cmd_run(args) -> int:
     result = run_simulation(
         design, profile, mode, max_instructions=args.instructions,
         backend=args.backend,
-        proofs=_proofs_for(profile) if args.proofs else None,
     )
     if args.json:
         print(json.dumps(result.to_dict(), indent=2, sort_keys=True))
@@ -140,11 +124,10 @@ def cmd_run(args) -> int:
 def cmd_compare(args) -> int:
     profile, design = _resolve_design(args)
     results = {}
-    proofs = _proofs_for(profile) if args.proofs else None
     for mode in (GatingMode.FULL, GatingMode.POWERCHOP, GatingMode.MINIMAL):
         results[mode] = run_simulation(
             design, profile, mode, max_instructions=args.instructions,
-            backend=args.backend, proofs=proofs,
+            backend=args.backend,
         )
     full = results[GatingMode.FULL]
     if args.json:
@@ -207,7 +190,6 @@ def cmd_sweep(args) -> int:
                     mode=mode,
                     max_instructions=args.instructions,
                     backend=args.backend,
-                    use_proofs=args.proofs,
                 )
             )
     if args.fabric:
@@ -414,33 +396,11 @@ def cmd_fabric_gc(args) -> int:
 def cmd_staticcheck(args) -> int:
     from repro.staticcheck import Severity, analyze_profile
 
-    # The kernel profiles sit outside the paper's 29-app study set but
-    # must stay staticcheck-clean (and are the profiles whose regions
-    # actually certify deterministic under --prove).
-    names = args.workload or [
-        p.name for p in ALL_BENCHMARKS + KERNEL_BENCHMARKS
-    ]
+    names = args.workload or [p.name for p in ALL_BENCHMARKS]
     analyses = [analyze_profile(get_profile(name)) for name in names]
     n_errors = sum(a.n_errors for a in analyses)
     n_warnings = sum(a.n_warnings for a in analyses)
     failed = n_errors > 0 or (args.strict and n_warnings > 0)
-
-    reports = []
-    if args.prove:
-        from repro.staticcheck import certify_workload
-
-        # The proof pass never *fails* a healthy profile: a certificate
-        # always materializes, and a region that cannot be proved
-        # deterministic carries the precise reasons instead.  An exception
-        # here means the profile is structurally broken — that is an error
-        # even without --strict.
-        for name in names:
-            try:
-                reports.append(certify_workload(get_profile(name)).report())
-            except Exception as exc:  # pragma: no cover - defensive
-                n_errors += 1
-                failed = True
-                reports.append({"benchmark": name, "error": str(exc)})
 
     if args.json:
         payload = {
@@ -450,8 +410,6 @@ def cmd_staticcheck(args) -> int:
             "warnings": n_warnings,
             "ok": not failed,
         }
-        if args.prove:
-            payload["proofs"] = reports
         print(json.dumps(payload, indent=2, sort_keys=True))
         return 1 if failed else 0
 
@@ -465,29 +423,6 @@ def cmd_staticcheck(args) -> int:
         f"{n_errors} error(s), {n_warnings} warning(s), {infos} note(s); "
         f"{vpu_dead} region(s) statically VPU-dead"
     )
-    if args.prove:
-        for rep in reports:
-            if "error" in rep:
-                print(f"  proof {rep['benchmark']}: FAILED ({rep['error']})")
-                continue
-            det = rep["deterministic_regions"]
-            why = rep["non_deterministic_reasons"]
-            detail = (
-                f"deterministic phases: {', '.join(rep['deterministic_phases'])}"
-                if det
-                else "no deterministic region ("
-                + "; ".join(
-                    f"{phase}: {len(rs)} non-closed-form branch(es)"
-                    for phase, rs in sorted(why.items())
-                )
-                + "; full reasons in --json)"
-            )
-            print(
-                f"  proof {rep['benchmark']}: {det}/{rep['regions']} region(s) "
-                f"deterministic, stream "
-                f"{'slotted' if rep['stream_slotted'] else 'unslotted'}, "
-                f"window head bound {rep['window_head_bound']}; {detail}"
-            )
     return 1 if failed else 0
 
 
@@ -611,14 +546,8 @@ def main(argv=None) -> int:
         "--backend",
         default=None,
         choices=available_backends(),
-        help="execution backend for every job (default: fastpath); "
+        help=f"execution backend for every job (default: {DEFAULT_BACKEND}); "
         "results and cache keys are backend-independent",
-    )
-    sweep_parser.add_argument(
-        "--proofs",
-        action="store_true",
-        help="attach proof certificates to every job (inert; results and "
-        "cache keys are unchanged)",
     )
     sweep_parser.add_argument(
         "--fabric",
@@ -673,7 +602,7 @@ def main(argv=None) -> int:
         "--backend",
         default=None,
         choices=available_backends(),
-        help="execution backend for every job (default: fastpath)",
+        help=f"execution backend for every job (default: {DEFAULT_BACKEND})",
     )
     submit_parser.add_argument(
         "--retries",
@@ -766,13 +695,6 @@ def main(argv=None) -> int:
         "--json",
         action="store_true",
         help="emit the full machine-readable report",
-    )
-    static_parser.add_argument(
-        "--prove",
-        action="store_true",
-        help="also run the proof pass: each profile certifies (region "
-        "determinism, stream slot-disjointness, window safety) or reports "
-        "why each region is not deterministic",
     )
     static_parser.set_defaults(func=cmd_staticcheck)
 

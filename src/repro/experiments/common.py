@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -26,8 +27,9 @@ def scale() -> float:
         value = float(os.environ.get("REPRO_SCALE", "1.0"))
     except ValueError as exc:
         raise ValueError("REPRO_SCALE must be a float") from exc
-    if value <= 0:
-        raise ValueError("REPRO_SCALE must be positive")
+    # ``value <= 0`` alone is false for NaN and lets infinity through.
+    if not (value > 0 and math.isfinite(value)):
+        raise ValueError("REPRO_SCALE must be positive and finite")
     return value
 
 

@@ -25,11 +25,10 @@ Built-in backends:
   loop on ``random_frac > 0`` streams, probes, tracing and TIMEOUT mode.
 
 Selection rules: ``HybridSimulator(backend="...")`` resolves a name
-through :func:`get_backend`; the deprecated ``fastpath: bool`` flag maps
-``True → "fastpath"`` and ``False → "reference"``.  Backends whose
-``needs_replay_state`` is true get a :class:`FastPathState` attached as
-``core.fastpath_listener`` so gating/policy/window events conservatively
-invalidate any memoized replay state.
+through :func:`get_backend`; ``None`` selects :data:`DEFAULT_BACKEND`.
+Backends whose ``needs_replay_state`` is true get a :class:`FastPathState`
+attached as ``core.fastpath_listener`` so gating/policy/window events
+conservatively invalidate any memoized replay state.
 
 Backend implementations must live in this package: a lint rule
 (``scripts/lint_determinism.py``, rule D003) flags trace-walking run
@@ -130,27 +129,15 @@ def get_backend(name: str) -> SimBackend:
     return instance
 
 
-def resolve_backend_name(backend, fastpath) -> str:
-    """Map the (backend, deprecated fastpath flag) pair to a backend name.
-
-    ``fastpath`` predates backend selection: ``True`` meant the fused loop
-    and ``False`` the reference loop.  It survives as a shim —
-    ``None``/``None`` selects :data:`DEFAULT_BACKEND`, and passing both a
-    backend name and a fastpath flag is an error.
-    """
-    if backend is not None:
-        if fastpath is not None:
-            raise ValueError(
-                "pass either backend=... or the deprecated fastpath=..., not both"
-            )
-        if backend not in _FACTORIES:
-            raise ValueError(
-                f"unknown backend {backend!r}; available: {', '.join(_FACTORIES)}"
-            )
-        return backend
-    if fastpath is None or fastpath:
+def resolve_backend_name(backend) -> str:
+    """Validate a backend name; ``None`` selects :data:`DEFAULT_BACKEND`."""
+    if backend is None:
         return DEFAULT_BACKEND
-    return "reference"
+    if backend not in _FACTORIES:
+        raise ValueError(
+            f"unknown backend {backend!r}; available: {', '.join(_FACTORIES)}"
+        )
+    return backend
 
 
 def _make_reference() -> SimBackend:

@@ -96,11 +96,6 @@ class FastPathState:
         "pass_a_seconds",
         "pass_b_seconds",
         "scalar_seconds",
-        "walk_memo_hits",
-        "walk_memo_records",
-        "walk_memo_blocks",
-        "proof_validations",
-        "proof_rejections",
     )
 
     def __init__(self) -> None:
@@ -124,17 +119,6 @@ class FastPathState:
         self.pass_a_seconds = 0.0
         self.pass_b_seconds = 0.0
         self.scalar_seconds = 0.0
-        #: Walk-trace memo statistics (vectorized backend, certified
-        #: deterministic regions only): chunks replayed / recorded and
-        #: blocks covered by replays.
-        self.walk_memo_hits = 0
-        self.walk_memo_records = 0
-        self.walk_memo_blocks = 0
-        #: Proof-certificate consumption: certificates validated against the
-        #: live workload, and certificates rejected (stale/inapplicable —
-        #: the run fell back to runtime checks).
-        self.proof_validations = 0
-        self.proof_rejections = 0
 
     def note_gating(self, unit: str) -> None:
         """A unit changed power state (VPU/BPU gate, MLC way-gate/flush)."""

@@ -111,32 +111,6 @@ Burst boundaries and cross-window extension
     configuration.  ``collect_phase_vectors`` disables idle extension
     (every window logs a translation vector).
 
-Proof certificates and walk-trace memoization
-    When the simulator carries a :class:`ProfileCertificate`
-    (``repro.staticcheck.proofs``), the run validates it once against the
-    live workload (content fingerprint over block structure, branch-model
-    parameters, and stream geometry).  A valid certificate replaces two
-    runtime derivations with certified facts: the per-run phase-slot
-    disjointness/MLC-occupancy scan (stream proof) and the HTB replay-time
-    capacity check (window proof).  Region proofs unlock the **walk-trace
-    memo**: in a certified fully-deterministic region (every branch
-    closed-form Loop/Pattern), the pass-A trace from a given walk state —
-    steering position plus the per-branch phase vector — is always the
-    same, so the walk records the trace once (as deltas: record slice,
-    outcome-consume counts, history fold, HTB/steering end state) and
-    replays it with bulk list/int operations on every revisit.  Chunks are
-    **anchored at visits to the region entry block**: keys are sampled
-    only there, and a capture runs from one anchor to the first anchor at
-    least ``_MEMO_CHUNK`` blocks later.  Anchoring matters — it aligns
-    chunk boundaries with the orbit of the joint (block, phase-vector)
-    dynamics, so keys recur with the orbit's natural period instead of
-    its lcm with a fixed chunk size.  Chunks never span a window
-    boundary, a budget stop, or any BT activity (captures straddling one
-    are discarded; replays pre-check the distance to the next boundary),
-    so replay is state-identical to walking.  A stale or inapplicable
-    certificate falls back to the runtime checks and the plain walk —
-    behaviour is bit-identical with proofs on, off, or rejected.
-
 Fallbacks
     Probes delegate to the ``reference`` backend; full tracing and TIMEOUT
     mode (per-block gating decisions) delegate to ``fastpath``.  There is
@@ -163,8 +137,6 @@ from repro.isa.branches import (
 )
 from repro.sim.backends.fastpath import run_fast
 from repro.sim.backends.rngkit import bulk_randoms, plan_stream_draws
-from repro.staticcheck.proofs import fingerprint_workload
-from repro.workloads.generator import _PHASE_SLOT
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.simulator import HybridSimulator
@@ -184,16 +156,6 @@ _K_GENERIC = 3  # anything else: model.next_outcome(history)
 #: double up to a cap so hot blocks amortize the numpy call.
 _CHUNK0 = 64
 _CHUNK_MAX = 32768
-
-#: Walk-trace memo sizing: a capture runs from an anchor (entry-block
-#: visit) to the first anchor at least ``_MEMO_CHUNK`` blocks later, and
-#: is discarded if no anchor appears within ``_MEMO_SPAN`` blocks.
-#: ``_MEMO_CAP`` bounds recorded chunks per phase (beyond it the memo
-#: still replays, but stops growing — a guard against state spaces that
-#: never revisit).
-_MEMO_CHUNK = 64
-_MEMO_SPAN = 256
-_MEMO_CAP = 8192
 
 
 # --------------------------------------------------------------------------
@@ -787,35 +749,6 @@ def run_vectorized(simulator: "HybridSimulator", max_instructions: int) -> float
     rc_get = region_cache._by_head.get
     rc_stats = region_cache.stats
 
-    # ---- Proof-certificate validation (one fingerprint check per run).
-    # A valid certificate supplies certified stream bounds, the set of
-    # deterministic regions (walk-memo eligible), and the HTB head bound;
-    # a stale one is rejected and every fact falls back to its runtime
-    # derivation — behaviour is bit-identical either way.
-    cert = getattr(simulator, "proof_certificate", None)
-    cert_regions: Optional[frozenset] = None
-    cert_stream = None
-    cert_window_ok = False
-    if cert is not None:
-        fstate.proof_validations += 1
-        if cert.workload_fingerprint == fingerprint_workload(workload):
-            cert_regions = frozenset(
-                r.region_id for r in cert.regions if r.deterministic
-            )
-            if cert.stream.slotted:
-                cert_stream = cert.stream
-            cert_window_ok = (
-                controller is not None and cert.window.head_bound <= htb_cap
-            )
-        else:
-            fstate.proof_rejections += 1
-            cert = None
-
-    # Per-phase walk-trace memos (chunk state -> recorded trace deltas).
-    # Keys hold ``id(translation)`` and HTB tids, both stable for the
-    # lifetime of one run, so the memo is per-run state.
-    walk_memos: dict = {}
-
     # ---- Closed-form memory-kernel hoists (see _flush's segment
     # dispatch).  Each phase's address stream lives in its own slot, so
     # when the slots are line-disjoint a cache line belongs to exactly
@@ -826,45 +759,31 @@ def run_vectorized(simulator: "HybridSimulator", max_instructions: int) -> float
     n_l1_sets = len(l1_sets)
     n_mlc_sets = len(mlc_sets)
     line_sz = 1 << line_shift
+    spans = []
     mlc_occ: Optional[int] = 0
-    if cert_stream is not None:
-        # Certified slot geometry (validated against the live streams by
-        # the fingerprint check above): slot-aligned bases with spans
-        # inside their slot are pairwise disjoint and line-aligned for any
-        # line size dividing the slot, and the occupancy bound is the same
-        # arithmetic the runtime scan performs over identical spans.
-        bases_disjoint = _PHASE_SLOT % line_sz == 0
-        if cert_stream.any_stream_pattern:
-            mlc_occ = None
-        else:
-            for _, _, span_p, _, _, _ in cert_stream.slots:
-                lines_p = ((span_p + line_sz - 1) >> mlc_shift) + 1
-                mlc_occ += -(-lines_p // n_mlc_sets)
-    else:
-        spans = []
-        for pname, pidx in phase_order.items():
-            st_p = phases[pname].address_stream(
-                pidx, wseed ^ zlib.crc32(pname.encode()) & 0xFFFF
-            )
-            span_p = (
-                st_p._stream_limit
-                if st_p.behavior.pattern == "stream"
-                else st_p._ws_bytes
-            )
-            spans.append((st_p.base, span_p))
-            if st_p.behavior.pattern == "stream":
-                mlc_occ = None  # unbounded footprint: warm form never applies
-            elif mlc_occ is not None:
-                # Max lines one MLC set can receive from a span_p-byte
-                # range: a run of R consecutive lines covers each set <=
-                # ceil(R/sets) times (line straddles add at most one).
-                lines_p = ((span_p + line_sz - 1) >> mlc_shift) + 1
-                mlc_occ += -(-lines_p // n_mlc_sets)
-        spans.sort()
-        bases_disjoint = all(b % line_sz == 0 for b, _ in spans) and all(
-            spans[i][0] + spans[i][1] <= spans[i + 1][0]
-            for i in range(len(spans) - 1)
+    for pname, pidx in phase_order.items():
+        st_p = phases[pname].address_stream(
+            pidx, wseed ^ zlib.crc32(pname.encode()) & 0xFFFF
         )
+        span_p = (
+            st_p._stream_limit
+            if st_p.behavior.pattern == "stream"
+            else st_p._ws_bytes
+        )
+        spans.append((st_p.base, span_p))
+        if st_p.behavior.pattern == "stream":
+            mlc_occ = None  # unbounded footprint: the warm form never applies
+        elif mlc_occ is not None:
+            # Max lines one MLC set can receive from a span_p-byte range:
+            # a run of R consecutive lines covers each set <= ceil(R/sets)
+            # times (line straddles add at most one).
+            lines_p = ((span_p + line_sz - 1) >> mlc_shift) + 1
+            mlc_occ += -(-lines_p // n_mlc_sets)
+    spans.sort()
+    bases_disjoint = all(b % line_sz == 0 for b, _ in spans) and all(
+        spans[i][0] + spans[i][1] <= spans[i + 1][0]
+        for i in range(len(spans) - 1)
+    )
     mlc_ways_min = mlc.active_ways
     # Per-phase [high_water_line, last_touched_line] state.
     hw_map: dict = {}
@@ -979,34 +898,6 @@ def run_vectorized(simulator: "HybridSimulator", max_instructions: int) -> float
                 b_translated = b_entries = b_overflow = b_rc = 0
                 c0 = cursor
                 vpu_gated = vpu.gated_on  # constant within a burst
-
-                # ---- Walk-trace memo eligibility.  Only certified
-                # deterministic regions qualify; as defense in depth the
-                # walk table must agree (a deterministic proof implies
-                # every kind is none/buffered — if not, the certificate is
-                # wrong and the memo stays off).
-                memo = None
-                if (
-                    cert_regions is not None
-                    and region.region_id in cert_regions
-                    and bool((kinds_arr <= 1).all())
-                ):
-                    memo = walk_memos.get(phase_name)
-                    if memo is None:
-                        # Per-pay (model, period) metadata, aligned with
-                        # ``pays`` (certified tables have no noise pays).
-                        pay_meta = []
-                        for bi, st in enumerate(steps):
-                            if st[0] == 1:
-                                m = col_branch[bi].model
-                                if type(m) is LoopBranch:
-                                    pay_meta.append((st[4], m, m.period, True))
-                                else:
-                                    pay_meta.append(
-                                        (st[4], m, len(m.pattern), False)
-                                    )
-                        memo = (pay_meta, {})
-                        walk_memos[phase_name] = memo
 
                 def _flush() -> None:
                     """Pass B: evaluate and apply the recorded burst."""
@@ -1650,419 +1541,6 @@ def run_vectorized(simulator: "HybridSimulator", max_instructions: int) -> float
                     cycles += bc
 
                 idx = region.entry
-                if memo is not None:
-                    # ---- Certified walk with trace memoization.  Chunk
-                    # keys are sampled only at *anchors* — visits to the
-                    # region entry block — and cover the complete walk
-                    # state of a deterministic region there: steering
-                    # identity/position and each closed-form model's
-                    # phase (consumed-outcome position mod period).  From
-                    # equal states the plain walk provably retraces the
-                    # same blocks, so a recorded chunk replays as deltas.
-                    # Anchoring chunk boundaries to entry visits aligns
-                    # them with the joint-orbit period, which is what
-                    # makes keys recur.  The inner block body is a copy
-                    # of the plain loop below (restricted to kinds 0/1 —
-                    # guaranteed by the eligibility check); keep the two
-                    # in sync.
-                    pay_meta, chunks = memo
-                    chunk_get = chunks.get
-                    entry_idx = idx
-                    remaining = n_blocks
-                    while remaining:
-                        capturing = False
-                        chunk = None
-                        n_cap = remaining
-                        chunk_min = 1
-                        if idx == entry_idx:
-                            key = (
-                                id(cur_trans),
-                                cur_pos,
-                            ) + tuple(
-                                (
-                                    (m._count if il else m._pos)
-                                    - (len(mp[1]) - mp[0])
-                                )
-                                % per
-                                for mp, m, per, il in pay_meta
-                            )
-                            chunk = chunk_get(key)
-                        if chunk is not None:
-                            (
-                                n_steps,
-                                idx_list,
-                                end_idx,
-                                d_instr,
-                                shift,
-                                packed,
-                                pay_counts,
-                                entries,
-                                d_tr,
-                                d_rc,
-                                upd,
-                                ins,
-                                end_trans,
-                                end_pcs,
-                                end_pos,
-                                clear_bt,
-                            ) = chunk
-                            # Replay preconditions: the chunk must fit the
-                            # segment and the budget, stay short of the
-                            # window boundary, and find the HTB exactly as
-                            # recorded (updates present, inserts absent,
-                            # capacity certified or checked).  Otherwise
-                            # the plain body runs the same blocks.
-                            if (
-                                n_steps <= remaining
-                                and produced + d_instr < max_instructions
-                                and (
-                                    entries == 0
-                                    or (
-                                        wexec + entries < window_size
-                                        and all(
-                                            t in hcounts for t, _, _ in upd
-                                        )
-                                        and (
-                                            not ins
-                                            or (
-                                                all(
-                                                    t not in hcounts
-                                                    for t, _, _ in ins
-                                                )
-                                                and (
-                                                    cert_window_ok
-                                                    or len(hcounts)
-                                                    + len(ins)
-                                                    <= htb_cap
-                                                )
-                                            )
-                                        )
-                                    )
-                                )
-                            ):
-                                rec.extend(idx_list)
-                                produced += d_instr
-                                for (mp, _m, _p, _il), cnt in zip(
-                                    pay_meta, pay_counts
-                                ):
-                                    if cnt:
-                                        # The flush gathers consumed
-                                        # outcome prefixes, so buffers
-                                        # must really be filled.
-                                        while len(mp[1]) - mp[0] < cnt:
-                                            mp[3]()
-                                        mp[0] += cnt
-                                hbits = (
-                                    (hbits << shift) | packed
-                                ) & history_mask
-                                b_translated += d_tr
-                                b_rc += d_rc
-                                if entries:
-                                    b_entries += entries
-                                    wexec += entries
-                                    for t, dni, dex in upd:
-                                        hcounts[t] += dni
-                                        hexec[t] += dex
-                                    for t, ni2, ex2 in ins:
-                                        hcounts[t] = ni2
-                                        hexec[t] = ex2
-                                cur_trans = end_trans
-                                cur_pcs = end_pcs
-                                cur_pos = end_pos
-                                if clear_bt:
-                                    bt._current = None
-                                idx = end_idx
-                                remaining -= n_steps
-                                fstate.walk_memo_hits += 1
-                                fstate.walk_memo_blocks += n_steps
-                                continue
-                            # Replay precheck failed (boundary/budget
-                            # proximity): plain-walk to the next anchor
-                            # and re-key there.
-                        elif (
-                            idx == entry_idx
-                            and remaining >= _MEMO_SPAN
-                            and len(chunks) < _MEMO_CAP
-                        ):
-                            capturing = True
-                            n_cap = _MEMO_SPAN
-                            chunk_min = _MEMO_CHUNK
-                            s_rec = len(rec)
-                            s_produced = produced
-                            s_tr = b_translated
-                            s_en = b_entries
-                            s_ov = b_overflow
-                            s_rc = b_rc
-                            s_lookups = rc_stats.lookups
-                            s_tl = len(trans_list)
-                            s_ip = len(interp_pos)
-                            s_pp = [mp[0] for mp, _m, _p, _il in pay_meta]
-                            s_none = cur_trans is None
-                            if on_entry is not None:
-                                s_hc = dict(hcounts)
-                                s_he = dict(hexec)
-                                s_wc = htb.windows_completed
-                        # The walk stretch: captures run until the first
-                        # anchor past ``chunk_min`` blocks (discarded at
-                        # ``n_cap`` without one); plain stretches stop at
-                        # the next anchor so it can be keyed.  Both make
-                        # progress even when starting on the anchor.
-                        steps_done = 0
-                        while steps_done < n_cap and (
-                            steps_done < chunk_min or idx != entry_idx
-                        ):
-                            kind, pc, ni_b, succ, pay = steps[idx]
-                            if kind == 1:
-                                p = pay[0]
-                                buf = pay[1]
-                                if p == len(buf):
-                                    pay[3]()
-                                taken = buf[p]
-                                pay[0] = p + 1
-                                succ = pay[2][p]
-                                hbits = ((hbits << 1) | taken) & history_mask
-                            else:
-                                taken = 0
-
-                            try:
-                                steer_hit = cur_pcs[cur_pos] == pc
-                            except IndexError:
-                                steer_hit = False
-                            if steer_hit:
-                                cur_pos += 1
-                                b_translated += 1
-                            else:
-                                if cur_trans is not None:
-                                    bt._current = None
-                                mem = rc_memo_get(pc)
-                                if mem is None:
-                                    entered = rc_get(pc)
-                                    if entered is not None:
-                                        mem = (
-                                            entered,
-                                            entered.block_pcs,
-                                            entered.tid,
-                                            entered.n_instr,
-                                        )
-                                        rc_memo[pc] = mem
-                                if mem is not None:
-                                    entered, cur_pcs, tid, n_i = mem
-                                    b_rc += 1
-                                    cur_trans = entered
-                                    cur_pos = 1
-                                    b_translated += 1
-                                    if on_entry is not None:
-                                        if tid in hcounts:
-                                            hcounts[tid] += n_i
-                                            hexec[tid] += 1
-                                            rec_kind = 0
-                                        elif len(hcounts) < htb_cap:
-                                            hcounts[tid] = n_i
-                                            hexec[tid] = 1
-                                            rec_kind = 1
-                                        else:
-                                            rec_kind = 2
-                                        if wexec + 1 >= window_size:
-                                            idle = False
-                                            warm = (
-                                                controller.windows_seen
-                                                < warmup_windows
-                                            )
-                                            if idle_ok:
-                                                if warm:
-                                                    idle = True
-                                                elif (
-                                                    controller._measuring
-                                                    is None
-                                                    and not bpu.force_small
-                                                ):
-                                                    sig = htb_signature(
-                                                        sig_len
-                                                    )
-                                                    pol = pvt_peek(sig)
-                                                    if (
-                                                        pol is not None
-                                                        and pol.vpu_on
-                                                        == states.vpu_on
-                                                        and pol.bpu_on
-                                                        == states.bpu_large_on
-                                                        and pol.mlc_ways
-                                                        == states.mlc_ways
-                                                    ):
-                                                        idle = True
-                                            if idle:
-                                                b_entries += 1
-                                                if rec_kind == 2:
-                                                    b_overflow += 1
-                                                controller.windows_seen += 1
-                                                fstate.note_window()
-                                                if not warm:
-                                                    pvt.lookup(sig)
-                                                    fstate.note_policy_action()
-                                                hcounts.clear()
-                                                hexec.clear()
-                                                htb.windows_completed += 1
-                                                wexec = 0
-                                            else:
-                                                if rec_kind == 0:
-                                                    hcounts[tid] -= n_i
-                                                    hexec[tid] -= 1
-                                                elif rec_kind == 1:
-                                                    del hcounts[tid]
-                                                    del hexec[tid]
-                                                _flush()
-                                                t_sc = perf_counter()
-                                                htb.window_executions = wexec
-                                                stall = on_entry(
-                                                    entered, cycles
-                                                )
-                                                if stall:
-                                                    cycles += stall
-                                                wexec = 0
-                                                block = region_blocks[idx]
-                                                if kind:
-                                                    col_branch[
-                                                        idx
-                                                    ].executions += 1
-                                                _exec_block_scalar(
-                                                    block, taken
-                                                )
-                                                if g_takens:
-                                                    del g_takens[:]
-                                                for bpay in pays:
-                                                    bp = bpay[0]
-                                                    if bp:
-                                                        del bpay[1][:bp]
-                                                        osu = bpay[2]
-                                                        if osu is not None:
-                                                            del osu[:bp]
-                                                        bpay[0] = 0
-                                                c0 = cursor
-                                                vpu_gated = vpu.gated_on
-                                                sc_time += (
-                                                    perf_counter() - t_sc
-                                                )
-                                                produced += block.n_instr
-                                                if (
-                                                    produced
-                                                    >= max_instructions
-                                                ):
-                                                    stream._cursor = cursor
-                                                    bt._current = cur_trans
-                                                    if cur_trans is not None:
-                                                        bt._pos = cur_pos
-                                                    history.bits = hbits
-                                                    return cycles
-                                                idx = succ
-                                                steps_done += 1
-                                                continue
-                                        else:
-                                            wexec += 1
-                                            b_entries += 1
-                                            if rec_kind == 2:
-                                                b_overflow += 1
-                                else:
-                                    block = region_blocks[idx]
-                                    exec_mode, bt_cycles, entered = (
-                                        bt_on_block(block)
-                                    )
-                                    if bt_cycles:
-                                        trans_list.append(
-                                            (len(rec), bt_cycles)
-                                        )
-                                    cur_trans = bt._current
-                                    if cur_trans is not None:
-                                        cur_pcs = cur_trans.block_pcs
-                                        cur_pos = bt._pos
-                                    else:
-                                        cur_pcs = ()
-                                    if exec_mode is _INTERPRETED:
-                                        interp_pos.append(len(rec))
-
-                            rec_append(idx)
-
-                            produced += ni_b
-                            if produced >= max_instructions:
-                                _flush()
-                                stream._cursor = cursor
-                                bt._current = cur_trans
-                                if cur_trans is not None:
-                                    bt._pos = cur_pos
-                                history.bits = hbits
-                                if htb is not None:
-                                    htb.window_executions = wexec
-                                return cycles
-                            idx = succ
-                            steps_done += 1
-
-                        remaining -= steps_done
-                        # Finalize the capture: discard it if it did not
-                        # end on an anchor (ran into ``n_cap``), or if
-                        # anything non-replayable happened inside — a
-                        # flush or non-idle boundary (record length
-                        # short), an idle window flush (windows count), a
-                        # BT lookup/translation, or an HTB overflow.
-                        if capturing and (
-                            idx == entry_idx
-                            and len(rec) == s_rec + steps_done
-                            and rc_stats.lookups == s_lookups
-                            and len(trans_list) == s_tl
-                            and len(interp_pos) == s_ip
-                            and b_overflow == s_ov
-                            and (
-                                on_entry is None
-                                or htb.windows_completed == s_wc
-                            )
-                        ):
-                            entries_d = b_entries - s_en
-                            upd = []
-                            ins = []
-                            if entries_d:
-                                # First-touch order: new dict keys land at
-                                # the end, preserving insertion order for
-                                # replayed signature tie-breaks.
-                                for t, v in hcounts.items():
-                                    sv = s_hc.get(t)
-                                    if sv is None:
-                                        ins.append((t, v, hexec[t]))
-                                    elif v != sv or hexec[t] != s_he[t]:
-                                        upd.append(
-                                            (t, v - sv, hexec[t] - s_he[t])
-                                        )
-                            pay_counts = tuple(
-                                mp[0] - s
-                                for (mp, _m, _p, _il), s in zip(
-                                    pay_meta, s_pp
-                                )
-                            )
-                            n_out = sum(pay_counts)
-                            # History fold: n_out outcome bits entered the
-                            # register; its masked end value replays them
-                            # (shift capped past the register depth).
-                            shift = n_out if n_out < 17 else 17
-                            d_rc = b_rc - s_rc
-                            chunks[key] = (
-                                steps_done,
-                                rec[s_rec:],
-                                idx,
-                                produced - s_produced,
-                                shift,
-                                hbits & ((1 << shift) - 1) & history_mask,
-                                pay_counts,
-                                entries_d,
-                                b_translated - s_tr,
-                                d_rc,
-                                tuple(upd),
-                                tuple(ins),
-                                cur_trans,
-                                cur_pcs,
-                                cur_pos,
-                                d_rc >= (2 if s_none else 1),
-                            )
-                            fstate.walk_memo_records += 1
-                    _flush()
-                    stream._cursor = cursor
-                    continue
                 for _ in repeat(None, n_blocks):
                     kind, pc, ni_b, succ, pay = steps[idx]
                     if kind == 1:

@@ -48,7 +48,6 @@ from repro.sim.backends import resolve_backend_name
 from repro.sim.probes import MetricsProbe, PhaseLogProbe, ProbeSpec, TraceProbe
 from repro.sim.results import SimulationResult
 from repro.sim.simulator import GatingMode, HybridSimulator
-from repro.staticcheck.proofs import ProofStore
 from repro.uarch.config import DesignPoint, design_for_suite
 from repro.workloads.profiles import BenchmarkProfile, build_workload
 from repro.workloads.suites import get_profile
@@ -81,8 +80,7 @@ __all__ = [
 #: counters in ``extra``.  v3: results gained the ``metrics`` registry
 #: snapshot (``repro.obs.metrics``, ``METRICS_SCHEMA_VERSION``) and jobs
 #: the ``obs_level`` field.  v4: jobs gained the ``backend`` field
-#: (excluded from the key — see ``NON_KEY_FIELDS``) and ``fastpath``
-#: became a deprecated alias for it.
+#: (excluded from the key — see ``NON_KEY_FIELDS``).
 CACHE_SCHEMA_VERSION = 4
 
 #: Bump whenever a code change alters what any job or analysis computes
@@ -121,21 +119,17 @@ def register_schema_migration(
 #: Job fields deliberately EXCLUDED from :meth:`SimJob.key`.  Two kinds of
 #: member:
 #:
-#: - ``backend`` / ``fastpath``: every execution backend is bit-identical
-#:   to the reference loop (enforced by tests/test_backends.py), so runs
-#:   that differ only in backend produce the same result and may share
-#:   cache entries;
+#: - ``backend``: every execution backend is bit-identical to the
+#:   reference loop (enforced by tests/test_backends.py), so runs that
+#:   differ only in backend produce the same result and may share cache
+#:   entries;
 #: - ``configure``: an opaque callable that cannot be content-hashed; its
 #:   effect is represented in the key by the mandatory ``cache_tag``
-#:   instead (enforced in ``__post_init__``);
-#: - ``use_proofs``: proof certificates are *inert* — a run with a
-#:   certificate attached is bit-identical to one without (enforced by
-#:   tests/test_proofs.py), so jobs that differ only in ``use_proofs``
-#:   share cache entries.
+#:   instead (enforced in ``__post_init__``).
 #:
 #: Adding a field to SimJob?  It must appear either in ``key()`` or here —
 #: tests/test_backends.py cross-checks the split is exhaustive.
-NON_KEY_FIELDS = frozenset({"backend", "fastpath", "configure", "use_proofs"})
+NON_KEY_FIELDS = frozenset({"backend", "configure"})
 
 _MANAGED_UNITS = ("vpu", "bpu", "mlc")
 
@@ -184,15 +178,6 @@ class SimJob:
     #: None = the registry default).  In ``NON_KEY_FIELDS``: backends are
     #: bit-identical, so results are backend-independent.
     backend: Optional[str] = None
-    #: Deprecated boolean spelling of ``backend`` (True → "fastpath",
-    #: False → "reference"); also in ``NON_KEY_FIELDS``.
-    fastpath: Optional[bool] = None
-    #: Attach a proof certificate (``repro.staticcheck.proofs``) to the
-    #: run: fetched from the :class:`ProofStore` (or freshly certified),
-    #: fingerprint-validated against the built workload, and consumed by
-    #: the vectorized backend for walk-trace memoization.  Inert — results
-    #: are bit-identical either way — so also in ``NON_KEY_FIELDS``.
-    use_proofs: bool = False
     configure: Optional[Callable[[HybridSimulator], None]] = None
     cache_tag: str = ""
 
@@ -212,9 +197,9 @@ class SimJob:
             raise ValueError(
                 f"obs_level must be one of {OBS_LEVELS}, got {self.obs_level!r}"
             )
-        # Validates the name and rejects conflicting backend/fastpath
-        # settings at job-construction time rather than inside a worker.
-        resolve_backend_name(self.backend, self.fastpath)
+        # Validates the name at job-construction time rather than inside
+        # a worker.
+        resolve_backend_name(self.backend)
         if self.configure is not None and not self.cache_tag:
             raise ValueError(
                 "a configure callback requires a non-empty cache_tag: the "
@@ -340,14 +325,6 @@ def execute_job(job: SimJob) -> JobRecord:
     profile = job.resolve_profile()
     design = job.resolve_design(profile)
     workload = build_workload(profile, job.seed)
-    proofs = None
-    if job.use_proofs:
-        # The store revalidates any cached certificate against the freshly
-        # built workload's fingerprint and re-certifies on mismatch, so a
-        # stale certificate can never reach the simulator from here.
-        proofs = ProofStore().get_or_certify(
-            profile, workload=workload, seed=job.seed
-        )
     simulator = HybridSimulator(
         design,
         workload,
@@ -355,9 +332,7 @@ def execute_job(job: SimJob) -> JobRecord:
         powerchop_config=job.resolve_config(),
         timeout_cycles=job.timeout_cycles,
         obs_level=job.resolve_obs_level(),
-        fastpath=job.fastpath,
         backend=job.backend,
-        proofs=proofs,
     )
     if job.configure is not None:
         job.configure(simulator)

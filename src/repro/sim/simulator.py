@@ -50,26 +50,16 @@ class HybridSimulator:
         timeout_cycles: float = 20_000.0,
         obs_level: str = "off",
         obs_capacity: int = DEFAULT_CAPACITY,
-        fastpath: Optional[bool] = None,
         backend: Optional[str] = None,
-        proofs=None,
     ) -> None:
         self.design = design
         self.workload = workload
         self.mode = mode
-        #: Optional proof certificate (``repro.staticcheck.proofs``).
-        #: Advisory: the vectorized backend validates it against the live
-        #: workload and silently falls back to runtime checks when it is
-        #: stale or inapplicable; other backends ignore it.
-        self.proof_certificate = proofs
         #: Execution backend (:mod:`repro.sim.backends`): every registered
         #: backend is bit-identical to ``reference``, so the default is the
-        #: fastest always-applicable one.  ``fastpath`` is the deprecated
-        #: boolean spelling (True → "fastpath", False → "reference") kept
-        #: for callers that predate the registry.
-        self.backend_name = resolve_backend_name(backend, fastpath)
+        #: fastest always-applicable one.
+        self.backend_name = resolve_backend_name(backend)
         self.backend = get_backend(self.backend_name)
-        self.fastpath = self.backend_name != "reference"
         self.fastpath_state = (
             FastPathState() if self.backend.needs_replay_state else None
         )
@@ -218,9 +208,7 @@ def run_simulation(
     timeout_cycles: float = 20_000.0,
     seed: Optional[int] = None,
     obs_level: str = "off",
-    fastpath: Optional[bool] = None,
     backend: Optional[str] = None,
-    proofs=None,
 ) -> SimulationResult:
     """Convenience wrapper: build the workload, run once, return the result.
 
@@ -228,9 +216,7 @@ def run_simulation(
     guarantees a fresh instruction stream, so repeated calls with different
     ``mode`` values compare configurations on identical traces.  ``backend``
     names an execution backend (``reference`` / ``fastpath`` /
-    ``vectorized``); ``fastpath`` is the deprecated boolean spelling.
-    ``proofs`` optionally attaches a
-    :class:`~repro.staticcheck.proofs.ProfileCertificate`.
+    ``vectorized``).
     """
     if isinstance(workload, BenchmarkProfile):
         workload = build_workload(workload, seed)
@@ -241,8 +227,6 @@ def run_simulation(
         powerchop_config=powerchop_config,
         timeout_cycles=timeout_cycles,
         obs_level=obs_level,
-        fastpath=fastpath,
         backend=backend,
-        proofs=proofs,
     )
     return simulator.run(max_instructions)

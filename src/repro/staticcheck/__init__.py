@@ -1,8 +1,7 @@
 """Static analysis over the synthetic ISA: CFG verification, dataflow
-summaries, the static criticality pre-pass that feeds the CDE, and the
-proof engine that certifies runtime-consumable region/stream properties.
+summaries, and the static criticality pre-pass that feeds the CDE.
 
-Four layered passes (see DESIGN.md §"Static analysis"):
+Three layered passes (see DESIGN.md §"Static analysis"):
 
 1. :func:`verify_region` — structural CFG invariants of a
    :class:`~repro.isa.blocks.CodeRegion` (successor ranges, reachability,
@@ -11,15 +10,10 @@ Four layered passes (see DESIGN.md §"Static analysis"):
    unit-usage summaries (:class:`RegionSummary`);
 3. :func:`build_hints` — packages the proofs runtime cares about into a
    :class:`StaticHints` structure the CDE consults when
-   ``PowerChopConfig.use_static_hints`` is set;
-4. :func:`certify_workload` — abstract interpretation emitting versioned,
-   content-hashed :class:`ProfileCertificate` proof bundles (region
-   determinism, stream slot-disjointness, idle-window safety) that the
-   vectorized backend consumes for walk-trace memoization and to replace
-   runtime checks with certificate validation.
+   ``PowerChopConfig.use_static_hints`` is set.
 
 ``python -m repro staticcheck`` runs passes 1-2 over any workload profile
-and reports diagnostics with severity levels; ``--prove`` adds pass 4.
+and reports diagnostics with severity levels.
 """
 
 from repro.staticcheck.analyzer import (
@@ -38,21 +32,6 @@ from repro.staticcheck.dataflow import (
 )
 from repro.staticcheck.diagnostics import Diagnostic, Severity
 from repro.staticcheck.hints import StaticHints, build_hints
-from repro.staticcheck.proofs import (
-    PROOF_SCHEMA_VERSION,
-    ProfileCertificate,
-    ProofStore,
-    RegionProof,
-    StreamProof,
-    WindowProof,
-    certify_workload,
-    classify_model,
-    fingerprint_region,
-    fingerprint_workload,
-    prove_region,
-    prove_streams,
-    prove_window,
-)
 
 __all__ = [
     "Diagnostic",
@@ -70,17 +49,4 @@ __all__ = [
     "analyze_region",
     "analyze_workload",
     "analyze_profile",
-    "PROOF_SCHEMA_VERSION",
-    "RegionProof",
-    "StreamProof",
-    "WindowProof",
-    "ProfileCertificate",
-    "ProofStore",
-    "classify_model",
-    "fingerprint_region",
-    "fingerprint_workload",
-    "prove_region",
-    "prove_streams",
-    "prove_window",
-    "certify_workload",
 ]

@@ -159,13 +159,7 @@ class RegionBuilder:
         self._next_pc += n_instr * 4
         return pc
 
-    def _make_branch_model(
-        self,
-        branch_mix: Dict[str, float],
-        bias: float,
-        loop_periods: Optional[Tuple[int, ...]] = None,
-        pattern_lengths: Optional[Tuple[int, ...]] = None,
-    ):
+    def _make_branch_model(self, branch_mix: Dict[str, float], bias: float):
         kinds = list(branch_mix.keys())
         weights = list(branch_mix.values())
         kind = self._rng.choices(kinds, weights=weights)[0]
@@ -179,18 +173,9 @@ class RegionBuilder:
             p = b if self._rng.random() < 0.5 else 1.0 - b
             return BiasedBranch(p, seed)
         if kind == "loop":
-            # The default draw order (one randint) must stay exactly as it
-            # was for existing profiles; the constrained form picks from the
-            # caller's period set instead (deterministic kernels keep the
-            # joint branch-phase orbit short so walk-trace memos recur).
-            if loop_periods is None:
-                return LoopBranch(self._rng.randint(8, 48))
-            return LoopBranch(loop_periods[self._rng.randrange(len(loop_periods))])
+            return LoopBranch(self._rng.randint(8, 48))
         if kind == "pattern":
-            if pattern_lengths is None:
-                length = self._rng.randint(3, 8)
-            else:
-                length = pattern_lengths[self._rng.randrange(len(pattern_lengths))]
+            length = self._rng.randint(3, 8)
             pattern = [self._rng.random() < 0.5 for _ in range(length)]
             if all(pattern) or not any(pattern):
                 pattern[0] = not pattern[0]
@@ -232,8 +217,6 @@ class RegionBuilder:
         branch_mix: Dict[str, float],
         bias: float,
         side_block_prob: float = 0.25,
-        loop_periods: Optional[Tuple[int, ...]] = None,
-        pattern_lengths: Optional[Tuple[int, ...]] = None,
     ) -> CodeRegion:
         if vector_style not in ("none", "dense", "sparse"):
             raise ValueError(f"unknown vector_style {vector_style!r}")
@@ -255,9 +238,7 @@ class RegionBuilder:
                 dense_vec = max(0, round(self._rng.gauss(avg_vec_per_block, 1.0)))
             mix = self._make_mix(avg_block_size, mem_frac, store_frac, dense_vec)
             pc = self._alloc_pc(mix.total)
-            model = self._make_branch_model(
-                branch_mix, bias, loop_periods, pattern_lengths
-            )
+            model = self._make_branch_model(branch_mix, bias)
             branch = StaticBranch(pc=pc + (mix.total - 1) * 4, model=model)
             block = BasicBlock(pc, mix, branch)
             main_indices.append(len(blocks))

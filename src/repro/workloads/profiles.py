@@ -32,14 +32,6 @@ class RegionSpec:
     tournament BPU critical, regions of strongly ``biased`` branches do not.
     ``vector_style`` places vector work densely on the main path, sparsely on
     rarely-taken side blocks, or nowhere.
-
-    ``loop_periods`` / ``pattern_lengths`` constrain the parameter draws of
-    ``loop``/``pattern`` branch models to the given choices.  ``None`` (the
-    default) keeps the builder's historical unconstrained draws — and its
-    exact RNG call order, so every existing profile builds bit-identically.
-    Deterministic kernel profiles use small constrained sets so the joint
-    branch-phase state space stays small enough for the vectorized backend's
-    walk-trace memo to revisit states (see ``repro.staticcheck.proofs``).
     """
 
     n_blocks: int = 12
@@ -51,8 +43,6 @@ class RegionSpec:
     branch_mix: Mapping[str, float] = field(default_factory=lambda: dict(DEFAULT_BRANCH_MIX))
     bias: float = 0.92
     side_block_prob: float = 0.25
-    loop_periods: Optional[Tuple[int, ...]] = None
-    pattern_lengths: Optional[Tuple[int, ...]] = None
 
 
 @dataclass(frozen=True)
@@ -123,8 +113,6 @@ def build_workload(
             branch_mix=dict(spec.branch_mix),
             bias=spec.bias,
             side_block_prob=spec.side_block_prob,
-            loop_periods=spec.loop_periods,
-            pattern_lengths=spec.pattern_lengths,
         )
         phase_specs.append(PhaseSpec(decl.name, region, decl.memory))
     schedule = [(name, profile.phase(name).blocks) for name in profile.schedule]

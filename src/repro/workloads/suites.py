@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from repro.workloads import kernels, mobilebench, parsec, spec_fp, spec_int
+from repro.workloads import mobilebench, parsec, spec_fp, spec_int
 from repro.workloads.profiles import BenchmarkProfile
 
 SPEC_INT: Tuple[BenchmarkProfile, ...] = spec_int.PROFILES
@@ -23,14 +23,7 @@ ALL_BENCHMARKS: Tuple[BenchmarkProfile, ...] = (
     SPEC_INT + SPEC_FP + PARSEC + MOBILEBENCH
 )
 
-#: Deterministic compute kernels (repro.workloads.kernels).  Resolvable by
-#: name like any profile, but deliberately outside ``ALL_BENCHMARKS``/
-#: ``SUITES`` so the paper's 29-application study set stays pinned.
-KERNEL_BENCHMARKS: Tuple[BenchmarkProfile, ...] = kernels.PROFILES
-
-_BY_NAME: Dict[str, BenchmarkProfile] = {
-    p.name: p for p in ALL_BENCHMARKS + KERNEL_BENCHMARKS
-}
+_BY_NAME: Dict[str, BenchmarkProfile] = {p.name: p for p in ALL_BENCHMARKS}
 
 
 def get_profile(name: str) -> BenchmarkProfile:
@@ -50,8 +43,3 @@ def server_benchmarks() -> List[BenchmarkProfile]:
 def mobile_benchmarks() -> List[BenchmarkProfile]:
     """MobileBench: the workloads the paper runs on the mobile core."""
     return list(MOBILEBENCH)
-
-
-def kernel_benchmarks() -> List[BenchmarkProfile]:
-    """Deterministic compute kernels (not part of the paper's 29-app set)."""
-    return list(KERNEL_BENCHMARKS)

@@ -144,12 +144,10 @@ def test_get_backend_unknown_name():
 
 
 def test_resolve_backend_name():
-    assert resolve_backend_name(None, None) == DEFAULT_BACKEND
-    assert resolve_backend_name("vectorized", None) == "vectorized"
-    assert resolve_backend_name(None, True) == "fastpath"
-    assert resolve_backend_name(None, False) == "reference"
-    with pytest.raises(ValueError, match="not both"):
-        resolve_backend_name("vectorized", True)
+    assert resolve_backend_name(None) == DEFAULT_BACKEND
+    assert resolve_backend_name("vectorized") == "vectorized"
+    with pytest.raises(ValueError, match="unknown backend"):
+        resolve_backend_name("warp-drive")
 
 
 def test_simulator_exposes_backend():
@@ -159,7 +157,6 @@ def test_simulator_exposes_backend():
     )
     assert sim.backend_name == "vectorized"
     assert sim.backend is get_backend("vectorized")
-    assert sim.fastpath  # compat flag: anything faster than reference
     assert sim.fastpath_state is not None  # vectorized needs replay state
 
 
@@ -182,19 +179,12 @@ def test_simjob_backend_excluded_from_cache_key():
         SimJob(benchmark="bzip2", backend=backend).key()
         for backend in (None, "reference", "fastpath", "vectorized")
     }
-    keys.add(SimJob(benchmark="bzip2", fastpath=True).key())
-    keys.add(SimJob(benchmark="bzip2", fastpath=False).key())
     assert len(keys) == 1
 
 
 def test_simjob_rejects_unknown_backend():
     with pytest.raises(ValueError, match="unknown backend"):
         SimJob(benchmark="bzip2", backend="warp-drive")
-
-
-def test_simjob_rejects_backend_fastpath_conflict():
-    with pytest.raises(ValueError, match="not both"):
-        SimJob(benchmark="bzip2", backend="vectorized", fastpath=True)
 
 
 def test_non_key_fields_split_is_exhaustive():

@@ -29,9 +29,10 @@ class TestCommon:
         monkeypatch.setenv("REPRO_SCALE", "zero")
         with pytest.raises(ValueError):
             common.scale()
-        monkeypatch.setenv("REPRO_SCALE", "-1")
-        with pytest.raises(ValueError):
-            common.scale()
+        for bad in ("-1", "nan", "inf"):
+            monkeypatch.setenv("REPRO_SCALE", bad)
+            with pytest.raises(ValueError):
+                common.scale()
 
     def test_instructions_for_designs(self):
         assert instructions_for(MOBILE) > instructions_for(SERVER)

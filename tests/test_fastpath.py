@@ -1,6 +1,6 @@
 """Fast-path equivalence: run_fast must be bit-identical to the reference.
 
-The steady-phase fast path (:mod:`repro.sim.fastpath`) promises *exact*
+The steady-phase fast path (:mod:`repro.sim.backends.fastpath`) promises *exact*
 equivalence with the reference execution loop — every
 :class:`SimulationResult` field, every ``extra`` entry, the metrics
 snapshot, and the full ``obs_level="full"`` event stream.  Tier-1 proves
@@ -14,8 +14,7 @@ from repro.core.config import PowerChopConfig
 from repro.isa.branches import LoopBranch, StaticBranch
 from repro.isa.instructions import InstructionMix
 from repro.isa.blocks import BasicBlock, CodeRegion
-from repro.sim.engine import SimJob
-from repro.sim.fastpath import FastPathState
+from repro.sim.backends.fastpath import FastPathState
 from repro.sim.simulator import GatingMode, HybridSimulator
 from repro.uarch.config import design_for_suite
 from repro.workloads.generator import MemoryBehavior, PhaseSpec, SyntheticWorkload
@@ -36,7 +35,7 @@ ALL_MODES = (
 )
 
 
-def _run(name, mode, fastpath, obs_level="off", seed=7, max_instructions=120_000):
+def _run(name, mode, backend, obs_level="off", seed=7, max_instructions=120_000):
     profile = get_profile(name)
     simulator = HybridSimulator(
         design_for_suite(profile.suite),
@@ -44,7 +43,7 @@ def _run(name, mode, fastpath, obs_level="off", seed=7, max_instructions=120_000
         mode,
         powerchop_config=_QUICK if mode is GatingMode.POWERCHOP else None,
         obs_level=obs_level,
-        fastpath=fastpath,
+        backend=backend,
     )
     result = simulator.run(max_instructions)
     return simulator, result
@@ -55,8 +54,12 @@ def _events(simulator):
 
 
 def _assert_identical(name, mode, obs_level="off", max_instructions=120_000):
-    ref_sim, ref = _run(name, mode, False, obs_level, max_instructions=max_instructions)
-    fast_sim, fast = _run(name, mode, True, obs_level, max_instructions=max_instructions)
+    ref_sim, ref = _run(
+        name, mode, "reference", obs_level, max_instructions=max_instructions
+    )
+    fast_sim, fast = _run(
+        name, mode, "fastpath", obs_level, max_instructions=max_instructions
+    )
     assert ref.to_dict() == fast.to_dict(), f"{name}/{mode.value} result diverged"
     assert _events(ref_sim) == _events(fast_sim), f"{name}/{mode.value} events diverged"
 
@@ -78,8 +81,8 @@ def test_fastpath_event_stream_identical_full_obs(profile_name):
 
 def test_fastpath_metrics_identical():
     """obs_level="metrics": the registry snapshot matches exactly."""
-    _ref_sim, ref = _run("bzip2", GatingMode.POWERCHOP, False, "metrics")
-    _fast_sim, fast = _run("bzip2", GatingMode.POWERCHOP, True, "metrics")
+    _ref_sim, ref = _run("bzip2", GatingMode.POWERCHOP, "reference", "metrics")
+    _fast_sim, fast = _run("bzip2", GatingMode.POWERCHOP, "fastpath", "metrics")
     assert ref.to_dict() == fast.to_dict()
     assert ref.metrics == fast.metrics
 
@@ -132,7 +135,7 @@ def test_deterministic_loop_replays_blocks():
     assert fast_sim.fastpath_state.accesses_elided > 0
     # ... and the replayed run still matches the reference bit-for-bit.
     ref_sim = HybridSimulator(
-        design, _single_phase_workload(0.0), GatingMode.FULL, fastpath=False
+        design, _single_phase_workload(0.0), GatingMode.FULL, backend="reference"
     )
     assert ref_sim.run(50_000).to_dict() == fast_result.to_dict()
 
@@ -159,19 +162,3 @@ def test_gating_transitions_notify_listener():
     sim.core.apply_mlc_state(1)
     assert sim.fastpath_state.invalidations == before + 3
 
-
-def test_simjob_fastpath_excluded_from_cache_key():
-    """Both settings are bit-identical, so they may share cache entries."""
-    on = SimJob(benchmark="bzip2", fastpath=True)
-    off = SimJob(benchmark="bzip2", fastpath=False)
-    assert on.key() == off.key()
-
-
-def test_fastpath_disabled_uses_reference_loop():
-    design = design_for_suite("spec")
-    sim = HybridSimulator(
-        design, _single_phase_workload(0.0), GatingMode.FULL, fastpath=False
-    )
-    assert sim.fastpath_state is None
-    assert sim.core.fastpath_listener is None
-    sim.run(10_000)  # runs the reference loop without error

@@ -261,18 +261,11 @@ class TestCLI:
             "ok",
         }
 
-    def test_prove_reports_certificates(self, capsys):
-        assert main(["staticcheck", "-w", "dgemm", "--prove", "--json"]) == 0
+    def test_default_scope_is_the_study_set(self, capsys):
+        assert main(["staticcheck", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["ok"] is True
-        (report,) = payload["proofs"]
-        assert report["benchmark"] == "dgemm"
-        assert report["deterministic_regions"] == report["regions"] > 0
-        assert report["stream_slotted"] is True
-        assert report["content_hash"]
-
-    def test_prove_human_output_condenses_reasons(self, capsys):
-        assert main(["staticcheck", "-w", "gobmk", "--prove"]) == 0
-        out = capsys.readouterr().out
-        assert "non-closed-form branch(es)" in out
-        assert "--json" in out
+        assert [p["benchmark"] for p in payload["profiles"]] == [
+            p.name for p in ALL_BENCHMARKS
+        ]
+        with pytest.raises(KeyError):
+            get_profile("dgemm")

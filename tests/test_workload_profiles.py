@@ -123,49 +123,3 @@ class TestProfileValidation:
         with pytest.raises(KeyError):
             profile.phase("z")
 
-
-class TestKernelProfiles:
-    """The deterministic kernels (outside the paper's 29-app study set)."""
-
-    def test_registered_but_outside_the_study_set(self):
-        from repro.workloads.kernels import PROFILES
-        from repro.workloads.suites import KERNEL_BENCHMARKS, kernel_benchmarks
-
-        assert KERNEL_BENCHMARKS == PROFILES
-        assert kernel_benchmarks() == list(PROFILES)
-        study_names = {p.name for p in ALL_BENCHMARKS}
-        for profile in PROFILES:
-            assert profile.name not in study_names
-            assert get_profile(profile.name) is profile
-            assert profile.suite not in SUITES
-
-    def test_kernels_instantiate_and_run(self):
-        from repro.workloads.kernels import PROFILES
-
-        for profile in PROFILES:
-            workload = build_workload(profile)
-            n = sum(1 for _ in workload.trace(2_000))
-            assert n > 0
-
-    def test_kernels_are_staticcheck_clean(self):
-        from repro.staticcheck import analyze_profile
-        from repro.workloads.kernels import PROFILES
-
-        for profile in PROFILES:
-            analysis = analyze_profile(profile)
-            assert analysis.n_errors == 0, analysis.render()
-            assert analysis.n_warnings == 0, analysis.render()
-
-    def test_kernel_branch_models_are_all_closed_form(self):
-        from repro.isa.branches import LoopBranch, PatternBranch
-        from repro.workloads.kernels import PROFILES
-
-        for profile in PROFILES:
-            workload = build_workload(profile)
-            for phase in workload.phases.values():
-                for block in phase.region.blocks:
-                    if block.branch is not None:
-                        assert type(block.branch.model) in (
-                            LoopBranch,
-                            PatternBranch,
-                        )
