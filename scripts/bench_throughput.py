@@ -211,7 +211,7 @@ def cross_backend_speedup(rates: dict) -> dict:
     return speedup
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--profiles", nargs="+", default=list(DEFAULT_PROFILES))
     parser.add_argument(
@@ -240,7 +240,15 @@ def main() -> int:
         default=Path(__file__).resolve().parent.parent / "BENCH_simloop.json",
     )
     parser.add_argument("--label", default="")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
+    if args.budget < 1:
+        parser.error(f"--budget must be at least 1 instruction, got {args.budget}")
+    if args.repeats < 1:
+        parser.error(f"--repeats must be at least 1, got {args.repeats}")
+    if not 0.0 <= args.tolerance < 1.0:
+        # 1 or more puts the --check floor at or below zero (the gate can
+        # never fire); a negative value fails every check.
+        parser.error(f"--tolerance must be in [0, 1), got {args.tolerance}")
 
     backends = args.backend or list(DEFAULT_BACKENDS)
     rates = measure(args.profiles, args.budget, args.repeats, backends)

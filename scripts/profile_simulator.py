@@ -16,10 +16,11 @@ selects the execution backend (reference / fastpath / vectorized; default
 
 ``--breakdown`` runs one extra POWERCHOP simulation and reports where its
 wall-clock went: pass A (the recording walk), pass B (the array flush
-kernels), and scalar (window-boundary blocks executed out of line).  With
-``--json`` the output becomes ``{"rates": ..., "breakdown": ...}`` — the
-flat shape is kept whenever ``--breakdown`` is absent, so existing
-consumers are unaffected.
+kernels), and scalar (window-boundary blocks executed out of line), plus
+how many bursts pass B flushed and their mean length in blocks
+(``bursts``, ``blocks_per_burst``).  With ``--json`` the output becomes
+``{"rates": ..., "breakdown": ...}`` — the flat shape is kept whenever
+``--breakdown`` is absent, so existing consumers are unaffected.
 """
 
 from __future__ import annotations
@@ -66,7 +67,8 @@ def main() -> None:
         "--breakdown",
         action="store_true",
         help="report the run loop's wall-clock split (pass A walk / "
-        "pass B flushes / scalar boundary blocks) from one POWERCHOP run",
+        "pass B flushes / scalar boundary blocks) and its burst count "
+        "from one POWERCHOP run",
     )
     args = parser.parse_args()
 
@@ -87,6 +89,7 @@ def main() -> None:
         simulator.run(args.instructions)
         fs = simulator.fastpath_state
         total = fs.pass_a_seconds + fs.pass_b_seconds + fs.scalar_seconds
+        bursts = fs.bursts_recorded
         breakdown = {
             "pass_a_seconds": round(fs.pass_a_seconds, 4),
             "pass_b_seconds": round(fs.pass_b_seconds, 4),
@@ -94,6 +97,10 @@ def main() -> None:
             "pass_a_share": round(fs.pass_a_seconds / total, 3) if total else 0.0,
             "pass_b_share": round(fs.pass_b_seconds / total, 3) if total else 0.0,
             "scalar_share": round(fs.scalar_seconds / total, 3) if total else 0.0,
+            "bursts": bursts,
+            "blocks_per_burst": (
+                round(fs.blocks_vectorized / bursts, 1) if bursts else 0.0
+            ),
         }
 
     if args.json:
@@ -111,6 +118,10 @@ def main() -> None:
                     f"  {part:8s} {breakdown[part + '_seconds']:8.4f}s "
                     f"({breakdown[part + '_share']:5.1%})"
                 )
+            print(
+                f"  {breakdown['bursts']} bursts flushed, "
+                f"{breakdown['blocks_per_burst']:.1f} blocks per burst"
+            )
 
     if args.cprofile:
         profile = get_profile(args.benchmark)

@@ -89,8 +89,13 @@ Bit-exact cycle accounting
 
 Burst boundaries and cross-window extension
     A burst ends when (a) the phase segment ends, (b) the instruction
-    budget is reached, or (c) a translation entry triggers a PowerChop
-    window end whose policy step is **not provably idle**.  A window end
+    budget is reached, (c) a translation entry triggers a PowerChop
+    window end whose policy step is **not provably idle**, or (d) the
+    record reaches ``_BURST_BLOCKS`` blocks.  Pass B composes exactly
+    across any cut (a non-idle window end already cuts at an arbitrary
+    block), so (d) changes no result; it bounds pass B's per-burst arrays
+    and lists by ``_BURST_BLOCKS`` instead of by the longest steady
+    stretch, so a run's memory stops growing with its budget.  A window end
     is idle — and the burst replays straight through it — when nothing
     the boundary does is observable: either the window is still inside
     the warmup epoch (the controller only flushes the HTB and keeps
@@ -156,6 +161,16 @@ _K_GENERIC = 3  # anything else: model.next_outcome(history)
 #: double up to a cap so hot blocks amortize the numpy call.
 _CHUNK0 = 64
 _CHUNK_MAX = 32768
+
+#: Burst-record cap: pass A flushes once ``rec`` holds this many blocks, so
+#: pass B's per-burst arrays stay this size however long a steady stretch
+#: runs.  Pass B composes exactly across any cut, so the value trades only
+#: peak memory against the number of flushes, never results.  A flush of a
+#: streaming phase rewrites every cache set it reaches (``_bulk_insert``),
+#: about 3 ms on the server hierarchy: on a 2-vCPU host, 1M-instruction
+#: milc/lbm MINIMAL runs took 1.2-1.3x as long at 4096 as uncapped, and
+#: stayed within noise (at most 1.1x) at 8192.
+_BURST_BLOCKS = 8192
 
 
 # --------------------------------------------------------------------------
@@ -790,6 +805,7 @@ def run_vectorized(simulator: "HybridSimulator", max_instructions: int) -> float
 
     cycles = 0.0
     produced = 0
+    burst_blocks = _BURST_BLOCKS
 
     # Hoisted BT walk state (synced back around every bt.on_block call).
     # Invariant: ``cur_pcs`` is ``()`` whenever ``cur_trans`` is None, so
@@ -1737,6 +1753,8 @@ def run_vectorized(simulator: "HybridSimulator", max_instructions: int) -> float
                         if htb is not None:
                             htb.window_executions = wexec
                         return cycles
+                    if len(rec) >= burst_blocks:
+                        _flush()
                     idx = succ
 
                 _flush()

@@ -9,6 +9,7 @@ exhaustive 29-profile sweep lives behind the slow marker.
 """
 
 import dataclasses
+import tracemalloc
 
 import pytest
 
@@ -21,6 +22,7 @@ from repro.sim.backends import (
     available_backends,
     get_backend,
     resolve_backend_name,
+    vectorized,
 )
 from repro.sim.backends.vectorized import _walk_table
 from repro.sim.engine import NON_KEY_FIELDS, SimJob
@@ -46,13 +48,14 @@ ALL_MODES = (
 )
 
 
-def _run(name, mode, backend, seed=7, max_instructions=120_000):
+def _run(name, mode, backend, seed=7, max_instructions=120_000, obs_level="off"):
     profile = get_profile(name)
     simulator = HybridSimulator(
         design_for_suite(profile.suite),
         build_workload(profile, seed),
         mode,
         powerchop_config=_QUICK if mode is GatingMode.POWERCHOP else None,
+        obs_level=obs_level,
         backend=backend,
     )
     result = simulator.run(max_instructions)
@@ -284,6 +287,69 @@ def test_vectorized_idle_windows_extend_bursts():
     state = sim.fastpath_state
     assert result.windows > 10
     assert state.bursts_recorded < result.windows / 2
+
+
+#: Burst caps small enough to cut every steady stretch at arbitrary blocks.
+_CUT_POINTS = [(7, 20_000), (64, 120_000)]
+
+
+def _assert_exact_at_cut_points(monkeypatch, name, mode, cap, budget, obs_level):
+    ref_sim, ref = _run(name, mode, "reference", max_instructions=budget,
+                        obs_level=obs_level)
+    monkeypatch.setattr(vectorized, "_BURST_BLOCKS", cap, raising=False)
+    sim, result = _run(name, mode, "vectorized", max_instructions=budget,
+                       obs_level=obs_level)
+    state = sim.fastpath_state
+    assert state.blocks_vectorized > cap
+    assert state.bursts_recorded * cap >= state.blocks_vectorized  # cap held
+    assert result.to_dict() == ref.to_dict()
+    assert _deep_state(sim) == _deep_state(ref_sim)
+
+
+@pytest.mark.parametrize("cap, budget", _CUT_POINTS)
+@pytest.mark.parametrize("profile_name", ["bzip2", "milc", "google"])
+@pytest.mark.parametrize(
+    "mode", [GatingMode.FULL, GatingMode.MINIMAL, GatingMode.POWERCHOP]
+)
+def test_vectorized_exact_at_any_cut_point(monkeypatch, profile_name, mode, cap, budget):
+    """Pass B composes exactly however the burst record is cut."""
+    _assert_exact_at_cut_points(monkeypatch, profile_name, mode, cap, budget, "off")
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("obs_level", ["off", "metrics"])
+@pytest.mark.parametrize("cap, budget", _CUT_POINTS)
+@pytest.mark.parametrize("profile_name", SAMPLED_PROFILES + ("gems", "msn"))
+@pytest.mark.parametrize(
+    "mode", [GatingMode.FULL, GatingMode.MINIMAL, GatingMode.POWERCHOP]
+)
+def test_vectorized_exact_at_any_cut_point_all(
+    monkeypatch, profile_name, mode, cap, budget, obs_level
+):
+    _assert_exact_at_cut_points(monkeypatch, profile_name, mode, cap, budget, obs_level)
+
+
+def _traced_peak(max_instructions):
+    sim = HybridSimulator(
+        design_for_suite("spec"),
+        _single_phase_workload(0.0, segment_blocks=10**7),
+        GatingMode.FULL,
+        backend="vectorized",
+    )
+    tracemalloc.start()
+    try:
+        sim.run(max_instructions)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_vectorized_memory_bounded_by_burst_cap(monkeypatch):
+    """One endless steady segment: pass B's peak must not grow with the run."""
+    monkeypatch.setattr(vectorized, "_BURST_BLOCKS", 512, raising=False)
+    short = _traced_peak(20_000)
+    long = _traced_peak(80_000)
+    assert long < 1.5 * short, (short, long)
 
 
 def test_vectorized_timeout_mode_delegates_to_fastpath():

@@ -4,6 +4,8 @@ import json
 import runpy
 import sys
 
+import pytest
+
 
 class TestProfileSimulator:
     def test_throughput_helper(self):
@@ -25,6 +27,53 @@ class TestProfileSimulator:
         out = capsys.readouterr().out
         assert "guest-instructions/s" in out
         assert "powerchop" in out
+
+    def test_breakdown_reports_bursts_within_the_cap(self, monkeypatch, capsys):
+        from repro.sim.backends.vectorized import _BURST_BLOCKS
+
+        monkeypatch.setattr(
+            sys,
+            "argv",
+            ["profile_simulator.py", "milc", "300000", "--backend",
+             "vectorized", "--breakdown", "--json"],
+        )
+        runpy.run_path("scripts/profile_simulator.py", run_name="__main__")
+        breakdown = json.loads(capsys.readouterr().out)["breakdown"]
+        assert breakdown["bursts"] > 0
+        assert 0 < breakdown["blocks_per_burst"] <= _BURST_BLOCKS
+
+
+class TestBenchThroughput:
+    def _script(self):
+        sys.path.insert(0, "scripts")
+        try:
+            import bench_throughput
+        finally:
+            sys.path.pop(0)
+        return bench_throughput
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["--repeats", "0"], "--repeats"),
+            (["--budget", "0"], "--budget"),
+            (["--tolerance", "1"], "--tolerance"),
+            (["--tolerance", "1.5"], "--tolerance"),
+            (["--tolerance", "-0.1"], "--tolerance"),
+            (["--tolerance", "nan"], "--tolerance"),
+        ],
+    )
+    def test_rejects_arguments_before_measuring(self, monkeypatch, capsys, argv, flag):
+        script = self._script()
+
+        def measure(*args, **kwargs):
+            raise AssertionError("measured before rejecting the arguments")
+
+        monkeypatch.setattr(script, "measure", measure)
+        with pytest.raises(SystemExit) as exc:
+            script.main(argv)
+        assert exc.value.code == 2
+        assert f"error: {flag} must be" in capsys.readouterr().err
 
 
 class TestDeterminismLint:
