@@ -2,16 +2,19 @@
 """Simulator throughput benchmark: measure, record, and gate regressions.
 
 Measures M guest-instructions/s per execution backend per gating mode on a
-pinned benchmark set (best of ``--repeats`` runs, to damp machine noise)
-and maintains ``BENCH_simloop.json`` at the repo root:
+pinned benchmark set (best of ``--repeats`` runs, to damp machine noise;
+the repeats run in rounds over all cells, so a slow spell of the host
+does not land on every repeat of one cell) and maintains
+``BENCH_simloop.json`` at the repo root:
 
 - ``--update``  append the measurement as the new ``current`` entry
   (the previous ``current`` is kept in ``history``);
 - ``--check``   compare the fresh measurement against the committed
   ``current`` entry and exit non-zero when any backend/mode on any pinned
   profile regressed by more than ``--tolerance`` (default 30 %) — the CI
-  perf-smoke gate.  Backends absent from the committed entry are skipped,
-  so adding a backend never trips the gate retroactively.
+  perf-smoke gate.  Cells absent from the committed entry (a backend,
+  profile or mode it did not measure) are skipped, so adding one never
+  trips the gate retroactively.
 
 ``--backend`` may be given multiple times to measure several backends in
 one invocation; rates are recorded per backend
@@ -21,10 +24,13 @@ measurements.
 
 ``--speedup-floor PROFILE:RATIO`` (repeatable) additionally fails the run
 unless the best-mode vectorized-over-fastpath ratio for PROFILE reaches
-RATIO — both backends must be measured in the same invocation.
-``speedup_vs_previous`` ratios are resolved against the *most recent*
-history entry that measured each backend/profile/mode cell, so runs with
-differing profile sets never record empty ratio maps.
+RATIO — both backends must be measured in the same invocation.  That
+ratio, taken within one invocation, is recorded as
+``vectorized_speedup_vs_fastpath``.  No ratio against earlier entries is
+recorded: they were measured at other times, and on a host whose speed
+drifts over time such a ratio reads as speed-ups and slow-downs of
+unchanged code.  (Entries written before this rule keep their
+``speedup_vs_previous`` field as history.)
 
 Usage:
     python scripts/bench_throughput.py [--profiles gobmk bzip2]
@@ -48,7 +54,7 @@ from repro.uarch.config import design_for_suite
 from repro.workloads.profiles import build_workload
 from repro.workloads.suites import get_profile
 
-MODES = (GatingMode.FULL, GatingMode.POWERCHOP, GatingMode.MINIMAL)
+MODES = (GatingMode.FULL, GatingMode.POWERCHOP, GatingMode.MINIMAL, GatingMode.TIMEOUT)
 DEFAULT_PROFILES = ("gobmk", "bzip2")
 DEFAULT_BACKENDS = (DEFAULT_BACKEND,)
 
@@ -66,22 +72,31 @@ def measure_once(benchmark: str, budget: int, mode: GatingMode, backend: str) ->
 
 
 def measure(profiles, budget: int, repeats: int, backends) -> dict:
-    """Best-of-N throughput (M instr/s): rates[backend][profile][mode]."""
+    """Best-of-N throughput (M instr/s): rates[backend][profile][mode].
+
+    Each round measures every cell once, so a slow spell of the host lands
+    on one repeat of several cells, which best-of-N absorbs, instead of on
+    every repeat of one cell.
+    """
+    cells = [
+        (backend, name, mode)
+        for backend in backends
+        for name in profiles
+        for mode in MODES
+    ]
+    best: dict = {}
+    for _ in range(repeats):
+        for backend, name, mode in cells:
+            rate = measure_once(name, budget, mode, backend)
+            best[backend, name, mode] = max(best.get((backend, name, mode), 0.0), rate)
     rates: dict = {}
-    for backend in backends:
-        rates[backend] = {}
-        for name in profiles:
-            rates[backend][name] = {}
-            for mode in MODES:
-                best = max(
-                    measure_once(name, budget, mode, backend)
-                    for _ in range(repeats)
-                )
-                rates[backend][name][mode.value] = round(best / 1e6, 3)
-                print(
-                    f"{backend:10s} {name:14s} {mode.value:10s} "
-                    f"{rates[backend][name][mode.value]:6.2f} M guest-instructions/s"
-                )
+    for backend, name, mode in cells:
+        rate = round(best[backend, name, mode] / 1e6, 3)
+        rates.setdefault(backend, {}).setdefault(name, {})[mode.value] = rate
+        print(
+            f"{backend:10s} {name:14s} {mode.value:10s} "
+            f"{rate:6.2f} M guest-instructions/s"
+        )
     return rates
 
 
@@ -130,35 +145,6 @@ def check_regression(record: dict, rates: dict, tolerance: float) -> int:
         return 1
     print(f"throughput within {tolerance:.0%} of the committed baseline")
     return 0
-
-
-def speedup_vs_history(rates: dict, history: list) -> dict:
-    """Per-cell ratio of ``rates`` to its most recent historical measurement.
-
-    The immediately-previous entry need not cover every backend/profile —
-    benchmark runs pick their own ``--profiles``/``--backend`` sets — and a
-    naive comparison against only that entry records ``{}`` for any profile
-    it skipped.  Walking the history newest-first finds, for every
-    backend/profile/mode measured now, the latest entry that also measured
-    it, so the ratio is present whenever the cell was ever benchmarked.
-    """
-    layers = [normalize_rates(e.get("rates", {})) for e in reversed(history) if e]
-    speedup: dict = {}
-    for backend, profiles in rates.items():
-        per_backend: dict = {}
-        for name, modes in profiles.items():
-            ratios = {}
-            for mode_name, rate in modes.items():
-                for layer in layers:
-                    base = layer.get(backend, {}).get(name, {}).get(mode_name)
-                    if base:
-                        ratios[mode_name] = round(rate / base, 2)
-                        break
-            if ratios:
-                per_backend[name] = ratios
-        if per_backend:
-            speedup[backend] = per_backend
-    return speedup
 
 
 def check_speedup_floors(cross: dict, floors) -> int:
@@ -264,15 +250,12 @@ def main(argv=None) -> int:
         previous = record.get("current")
         if previous:
             record.setdefault("history", []).append(previous)
-        speedup = speedup_vs_history(rates, record.get("history", []))
         record["current"] = {
             "label": args.label or "bench_throughput run",
             "budget": args.budget,
             "repeats": args.repeats,
             "rates": rates,
         }
-        if speedup:
-            record["current"]["speedup_vs_previous"] = speedup
         if cross:
             record["current"]["vectorized_speedup_vs_fastpath"] = cross
         args.output.write_text(json.dumps(record, indent=2) + "\n")

@@ -18,9 +18,12 @@ selects the execution backend (reference / fastpath / vectorized; default
 wall-clock went: pass A (the recording walk), pass B (the array flush
 kernels), and scalar (window-boundary blocks executed out of line), plus
 how many bursts pass B flushed and their mean length in blocks
-(``bursts``, ``blocks_per_burst``).  With ``--json`` the output becomes
-``{"rates": ..., "breakdown": ...}`` — the flat shape is kept whenever
-``--breakdown`` is absent, so existing consumers are unaffected.
+(``bursts``, ``blocks_per_burst``).  It needs a backend that keeps those
+timers (``needs_replay_state``): ``--breakdown`` with ``--backend
+reference`` exits with status 2 before measuring anything.  With
+``--json`` the output becomes ``{"rates": ..., "breakdown": ...}`` — the
+flat shape is kept whenever ``--breakdown`` is absent, so existing
+consumers are unaffected.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import json
 import pstats
 import time
 
-from repro.sim.backends import DEFAULT_BACKEND, available_backends
+from repro.sim.backends import DEFAULT_BACKEND, available_backends, get_backend
 from repro.sim.simulator import GatingMode, HybridSimulator
 from repro.uarch.config import design_for_suite
 from repro.workloads.profiles import build_workload
@@ -51,7 +54,7 @@ def throughput(
     return result.instructions / elapsed
 
 
-def main() -> None:
+def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("benchmark", nargs="?", default="gobmk")
     parser.add_argument("instructions", nargs="?", type=int, default=1_000_000)
@@ -70,7 +73,12 @@ def main() -> None:
         "pass B flushes / scalar boundary blocks) and its burst count "
         "from one POWERCHOP run",
     )
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
+    if args.breakdown and not get_backend(args.backend).needs_replay_state:
+        parser.error(
+            "--breakdown needs a backend with pass timers; "
+            f"{args.backend!r} keeps none"
+        )
 
     rates = {}
     for mode in (GatingMode.FULL, GatingMode.POWERCHOP, GatingMode.MINIMAL):

@@ -19,10 +19,11 @@ Built-in backends:
   per-access, but with inlined component hot paths, batched monotonic
   counters and memoized same-line block replay.
 - ``vectorized`` — :mod:`repro.sim.backends.vectorized` (requires numpy):
-  records each steady (deterministic-stream) burst's access+branch trace
-  once with a lean scalar pass, then evaluates the burst's timing and
-  cache behaviour as batched array kernels, falling back to the per-access
-  loop on ``random_frac > 0`` streams, probes, tracing and TIMEOUT mode.
+  records each burst's access+branch trace once with a lean scalar pass,
+  then evaluates the burst's timing, cache behaviour, RNG-driven address
+  draws and (in TIMEOUT mode) the VPU timeout controller as batched array
+  kernels.  Probe runs delegate to ``reference`` and fully traced runs to
+  ``fastpath``.
 
 Selection rules: ``HybridSimulator(backend="...")`` resolves a name
 through :func:`get_backend`; ``None`` selects :data:`DEFAULT_BACKEND`.

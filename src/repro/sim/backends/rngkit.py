@@ -9,37 +9,56 @@ down by ``32 - k``.  NumPy's ``MT19937`` bit generator exposes exactly that
 word stream (``random_raw``), and its 624-word key + position state is the
 same structure ``random.Random.getstate()`` returns.
 
-This module transplants a ``random.Random`` state into ``np.random.MT19937``,
-materializes a block of raw words / doubles as arrays, and writes the
-advanced state back — so the vectorized backend can evaluate thousands of
-draws per NumPy call while the ``random.Random`` object is left exactly
-where the equivalent scalar loop would have left it.  Stream identity
-(word-for-word, draw-for-draw, including the state round-trip) is pinned by
-``tests/test_rngkit.py``.
+Two ways of drawing in bulk build on that identity:
 
-:func:`plan_stream_draws` builds on the word stream to replay the *control
-flow* of ``AddressStream.next()`` for mixed (``random_frac > 0``) and pure
-random streams without a scalar loop: each access consumes a variable
-number of words (a 2-word uniform draw for the mix test, then a rejection
-loop of 1-word ``randrange`` attempts on the random path), so the access
-start positions form an orbit of a per-position jump function, which is
-evaluated by pointer doubling over the materialized words.
+- :class:`OwnedStream` takes over a branch model's ``random()`` stream for
+  the rest of a run.  It calls ``rng.random()`` itself while the stream's
+  total demand is small, and past :data:`_TRANSPLANT_AFTER` values it
+  transplants the state into an ``MT19937`` once and reads raw words from
+  it from then on.  The state is never written back.  A buffered model's
+  refills are the only consumer of its ``random.Random`` during a run, and
+  workloads are single-use, so nothing reads that state afterwards; the
+  refills over-draw (they materialize outcomes ahead of the walk) and so
+  already left it somewhere no scalar sequence would.
+- :func:`plan_stream_draws` replays the *control flow* of
+  ``AddressStream.next()`` for mixed (``random_frac > 0``) and pure random
+  streams without a scalar loop: each access consumes a variable number of
+  words (a 2-word uniform draw for the mix test, then a rejection loop of
+  1-word ``randrange`` attempts on the random path), so the access start
+  positions form an orbit of a per-position jump function, which is
+  evaluated by pointer doubling over the materialized words.  The plan
+  leaves ``stream._rng`` exactly where the scalar draws would
+  (:func:`peek_words` + :func:`write_back`), because the vectorized loop
+  draws from the same stream scalar at window-boundary blocks.
+
+Stream identity (word-for-word, draw-for-draw, including the state
+round-trip) is pinned by ``tests/test_rngkit.py``.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Tuple
 
 import numpy as np
 from numpy.random import MT19937
 
-__all__ = ["raw_words", "peek_words", "write_back", "bulk_randoms", "plan_stream_draws"]
+__all__ = ["OwnedStream", "peek_words", "write_back", "plan_stream_draws"]
 
 #: ``genrand_res53`` scale: doubles are ``(a*2**26 + b) / 2**53`` with
 #: ``a = word >> 5`` and ``b = word >> 6`` (CPython ``_randommodule.c``).
 _RES53_SCALE = 1.0 / 9007199254740992.0
 
 _EMPTY_I64 = np.empty(0, dtype=np.int64)
+
+#: Values an :class:`OwnedStream` draws through its own ``random.Random``
+#: before it moves to numpy, so a stream that a run drains only a little
+#: never pays for a transplant.  On a 2-vCPU host a transplant took
+#: 0.34 ms and a value 95 ns scalar against 16 ns from raw words.  The
+#: 32 vectorized jobs of a 40k-instruction ``sim`` pass took 1.18 s with
+#: no scalar prefix (0) and 0.83-0.95 s at 512, 1024, 2048 and 4096,
+#: which were within noise of each other.
+_TRANSPLANT_AFTER = 1024
 
 
 def _transplant(state) -> MT19937:
@@ -58,7 +77,7 @@ def _transplant(state) -> MT19937:
 def _read_state(bg: MT19937, gauss) -> tuple:
     st = bg.state["state"]
     # .tolist() converts the 624-word key to Python ints in C; a genexpr
-    # of int() calls here is measurable (refills run this per chunk).
+    # of int() calls here is measurable (plans run this per flush).
     return (3, tuple(st["key"].tolist()) + (int(st["pos"]),), gauss)
 
 
@@ -96,33 +115,39 @@ def write_back(rng, state, n_words: int) -> None:
     rng._rk_mirror = (bg, new_state)
 
 
-def raw_words(rng, n: int) -> np.ndarray:
-    """The next ``n`` 32-bit outputs of ``rng``, advancing it past them.
+class OwnedStream:
+    """The rest of one ``random.Random``'s ``random()`` stream, for one run.
 
-    Word ``i`` equals what ``rng.getrandbits(32)`` would have returned on
-    the ``i``-th call.
+    :meth:`randoms` returns the next ``n`` values ``rng.random()`` would
+    return.  While the stream's total demand stays within
+    :data:`_TRANSPLANT_AFTER` values it makes those calls itself; the
+    first request past it transplants ``rng``'s state into an ``MT19937``
+    once, and every later value comes from that generator's raw words.
+    ``rng`` is not advanced past the transplant (see the module
+    docstring), so the owner must be its only consumer from then on.
     """
-    if n <= 0:
-        return _EMPTY_I64
-    state = rng.getstate()
-    bg = _mirror(rng, state)
-    words = bg.random_raw(n).astype(np.int64)
-    new_state = _read_state(bg, state[2])
-    rng.setstate(new_state)
-    rng._rk_mirror = (bg, new_state)
-    return words
 
+    __slots__ = ("_rng", "_bg", "_drawn")
 
-def bulk_randoms(rng, n: int) -> np.ndarray:
-    """The next ``n`` values of ``rng.random()`` as a float64 array.
+    def __init__(self, rng) -> None:
+        self._rng = rng
+        self._bg = None
+        self._drawn = 0
 
-    Consumes ``2 * n`` words; each value is bit-identical to the scalar
-    call (both sides compute ``(a*2**26 + b) * 2**-53`` on exact integers).
-    """
-    w = raw_words(rng, 2 * n)
-    a = w[0::2] >> 5
-    b = w[1::2] >> 6
-    return (a * 67108864 + b) * _RES53_SCALE
+    def randoms(self, n: int) -> np.ndarray:
+        """The next ``n`` values of ``rng.random()`` as a float64 array."""
+        bg = self._bg
+        if bg is None:
+            drawn = self._drawn + n
+            if drawn <= _TRANSPLANT_AFTER:
+                self._drawn = drawn
+                draw = self._rng.random
+                return np.array([draw() for _ in repeat(None, n)], dtype=np.float64)
+            bg = self._bg = _transplant(self._rng.getstate())
+        # Each value is genrand_res53 over two consecutive words, computed
+        # on exact integers below 2**53, so it equals the scalar call.
+        w = bg.random_raw(2 * n)
+        return ((w[0::2] >> 5) * 67108864 + (w[1::2] >> 6)) * _RES53_SCALE
 
 
 def _parse_draws(w, n, frac, ws, k, pure_random):

@@ -6,17 +6,19 @@ access at a time, this backend splits each steady stretch of execution (a
 
 - **Pass A (scalar, lean).**  Walk the schedule exactly as the reference
   loop would — but with every per-block cost deferred and every branch
-  outcome *pre-materialized*.  Biased/Random draws are bulk-evaluated from
-  the model's own ``random.Random`` stream (:mod:`.rngkit` transplants the
-  Mersenne-Twister state into numpy and back, bit-exactly), Loop/Pattern
-  outcomes are closed-form over an index range, and GlobalCorrelated
-  branches reduce to a popcount over the maintained history register — so
-  the walk consumes precomputed (taken, successor) buffers and only
-  steers the BT continuation (one index+compare against the current
-  translation's block-pc tuple, with a per-run memo of region-cache
-  entries) and the HTB window counter (hoisted dict ops) per block.  No
-  predictor updates, no cycle math, no memory accesses: those are
-  deferred to pass B.
+  outcome *pre-materialized*.  Biased/Random draws (and GlobalCorrelated
+  noise) come from an :class:`.rngkit.OwnedStream` over the model's own
+  ``random.Random``: a stream's first values are scalar ``random()``
+  calls, and once its demand passes ``rngkit._TRANSPLANT_AFTER`` values
+  the Mersenne-Twister state moves into numpy once and the run reads raw
+  words from it, with no state written back.  Loop/Pattern outcomes are
+  closed-form over an index range, and GlobalCorrelated branches reduce
+  to a popcount over the maintained history register — so the walk
+  consumes precomputed (taken, successor) buffers and only steers the BT
+  continuation (one index+compare against the current translation's
+  block-pc tuple, with a per-run memo of region-cache entries) and the
+  HTB window counter (hoisted dict ops) per block.  No predictor updates,
+  no cycle math, no memory accesses: those are deferred to pass B.
 - **Pass B (numpy).**  Gather per-block attribute columns
   (:meth:`CodeRegion.attr_arrays`) for the recorded indices and evaluate
   the whole burst at once: issue cycles as one elementwise product, the
@@ -116,11 +118,25 @@ Burst boundaries and cross-window extension
     configuration.  ``collect_phase_vectors`` disables idle extension
     (every window logs a translation vector).
 
+TIMEOUT in closed form
+    :class:`~repro.core.timeout.TimeoutVPUController` is a two-state
+    machine over block start cycles: a vector block wakes a gated VPU, and
+    the first non-vector block more than ``timeout_cycles`` after the last
+    vector block's start gates it.  The controller wakes the VPU before a
+    vector block runs, so no vector op is ever emulated and a block's
+    cycles do not depend on the VPU state.  Pass B therefore evaluates the
+    flush as usual, accounting every vector op as native, and the cycle
+    fold (:func:`_fold_cycles`) replays the controller as a scan over the
+    flush's block start cycles.  Each transition adds its stall at its
+    block, calls ``core.apply_vpu_state`` and the accountant's
+    ``on_switch`` in block order, and the fold resumes from that block in
+    the reference order: stall, translation charge, block cycles.  The
+    controller's own state carries across flushes.
+
 Fallbacks
-    Probes delegate to the ``reference`` backend; full tracing and TIMEOUT
-    mode (per-block gating decisions) delegate to ``fastpath``.  There is
-    no per-access fallback anymore: ``random_frac > 0`` and pure-random
-    streams batch through the RNG plan.
+    Probes delegate to the ``reference`` backend; full tracing delegates to
+    ``fastpath``.  There is no per-access fallback anymore: ``random_frac >
+    0`` and pure-random streams batch through the RNG plan.
 """
 
 from __future__ import annotations
@@ -141,7 +157,7 @@ from repro.isa.branches import (
     RandomBranch,
 )
 from repro.sim.backends.fastpath import run_fast
-from repro.sim.backends.rngkit import bulk_randoms, plan_stream_draws
+from repro.sim.backends.rngkit import OwnedStream, plan_stream_draws
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.simulator import HybridSimulator
@@ -405,6 +421,88 @@ def _bpu_batch(bpu, keys, bpcs, tk):
 
 
 # --------------------------------------------------------------------------
+# Cycle fold, with the TIMEOUT controller as a scan over a flush's blocks
+# --------------------------------------------------------------------------
+
+
+def _fold_cycles(cycles, bc_arr, trans_list, nv, ctl) -> float:
+    """Fold one flush's block cycles into the running total ``cycles``.
+
+    The reference loop adds, block by block, the TIMEOUT controller's stall
+    (if any), the block's translation charge (if any) and the block's
+    cycles.  The fold is one ``np.cumsum`` over those ``(stall, charge,
+    cycles)`` triples, in that order; an empty slot adds +0.0, which leaves
+    every partial sum unchanged.  ``bc_arr`` holds the per-block cycles,
+    ``trans_list`` the ``(block, charge)`` translation charges and ``nv``
+    each block's vector-op count.
+
+    ``ctl`` is the run's :class:`TimeoutVPUController`, or None.  Under it
+    a block's cycles do not depend on the VPU state, because the controller
+    wakes the VPU before any vector block runs, so only the transitions
+    need the running total:
+
+    - VPU on: the first non-vector block that starts more than
+      ``timeout_cycles`` after the last vector block's start gates it off;
+    - VPU off: the next vector block wakes it.
+
+    Each transition makes the controller's side effects in block order,
+    puts its stall in its block's first slot and refolds the rest of the
+    flush from that block.  The controller's own state (``vpu_on``,
+    ``_last_vector_cycle``) carries across flushes, so any burst cut gives
+    the same transitions.
+    """
+    n = len(bc_arr)
+    slots = np.zeros(3 * n, dtype=np.float64)
+    slots[2::3] = bc_arr
+    for p, v in trans_list:
+        slots[3 * p + 1] = v
+    if ctl is None:
+        slots[0] += cycles
+        return float(np.cumsum(slots)[-1])
+    core = ctl.core
+    design = ctl.design
+    accountant = ctl.accountant
+    period = ctl.timeout_cycles
+    stall = design.vpu_switch_cycles + design.vpu_save_restore_cycles
+    isv = nv > 0
+    on = core.states.vpu_on
+    last = ctl._last_vector_cycle
+    q = 0
+    while True:
+        seg = slots[3 * q :].copy()
+        seg[0] += cycles
+        cs = np.cumsum(seg)
+        # now[i]: the running total when block q+i starts (before its stall).
+        now = np.empty(n - q, dtype=np.float64)
+        now[0] = cycles
+        now[1:] = cs[2:-1:3]
+        vec = isv[q:]
+        if on:
+            lv = np.where(vec, now, -np.inf)
+            np.maximum.accumulate(lv, out=lv)
+            np.maximum(lv, last, out=lv)
+            hit = np.flatnonzero(~vec & (now - lv > period))
+        else:
+            hit = np.flatnonzero(vec)
+        if not len(hit):
+            ctl._last_vector_cycle = float(lv[-1]) if on else last
+            return float(cs[-1])
+        k = int(hit[0])
+        cycles = float(now[k])
+        last = float(lv[k]) if on else cycles
+        on = not on
+        core.apply_vpu_state(on)
+        if on:
+            ctl.gate_ons += 1
+        else:
+            ctl.gate_offs += 1
+        if accountant is not None:
+            accountant.on_switch("vpu", on, cycles)
+        q += k
+        slots[3 * q] = stall
+
+
+# --------------------------------------------------------------------------
 # Walk table: per-region pass-A columns with pre-materialized outcomes
 # --------------------------------------------------------------------------
 
@@ -506,12 +604,13 @@ class _WalkAux:
 
 def _make_biased_refill(otk, osucc, model, tsucc, fsucc):
     chunk = [_CHUNK0]
+    randoms = OwnedStream(model._rng).randoms
 
     def refill():
         c = chunk[0]
         if c < _CHUNK_MAX:
             chunk[0] = c * 2
-        t = bulk_randoms(model._rng, c) < model.p_taken
+        t = randoms(c) < model.p_taken
         otk.extend(t.view(np.int8).tolist())
         osucc.extend(np.where(t, tsucc, fsucc).tolist())
 
@@ -557,12 +656,13 @@ def _make_pattern_refill(otk, osucc, model, tsucc, fsucc):
 
 def _make_noise_refill(otk, model):
     chunk = [_CHUNK0]
+    randoms = OwnedStream(model._rng).randoms
 
     def refill():
         c = chunk[0]
         if c < _CHUNK_MAX:
             chunk[0] = c * 2
-        f = bulk_randoms(model._rng, c) < model.noise
+        f = randoms(c) < model.noise
         otk.extend(f.view(np.int8).tolist())
 
     return refill
@@ -666,10 +766,9 @@ class VectorizedBackend:
             from repro.sim.backends import get_backend
 
             return get_backend("reference").run(simulator, max_instructions, probes)
-        if simulator.tracer.active or simulator.timeout_controller is not None:
-            # Full event tracing wants per-block timestamps, and TIMEOUT
-            # mode gates the VPU on per-block idle decisions — both are
-            # inherently per-access; the fused scalar loop handles them.
+        if simulator.tracer.active:
+            # Full event tracing wants per-block timestamps, which the
+            # fused scalar loop keeps.
             return run_fast(simulator, max_instructions)
         return run_vectorized(simulator, max_instructions)
 
@@ -686,6 +785,7 @@ def run_vectorized(simulator: "HybridSimulator", max_instructions: int) -> float
     core = simulator.core
     bt = simulator.bt
     controller = simulator.controller
+    timeout_ctl = simulator.timeout_controller
     counters = core.counters
     design = core.design
     hier = core.hierarchy
@@ -913,7 +1013,10 @@ def run_vectorized(simulator: "HybridSimulator", max_instructions: int) -> float
                 trans_list: list = []
                 b_translated = b_entries = b_overflow = b_rc = 0
                 c0 = cursor
-                vpu_gated = vpu.gated_on  # constant within a burst
+                # Constant within a burst.  Under TIMEOUT the controller
+                # wakes the VPU before every vector block, so vector ops
+                # always run native.
+                vpu_gated = vpu.gated_on or timeout_ctl is not None
 
                 def _flush() -> None:
                     """Pass B: evaluate and apply the recorded burst."""
@@ -940,7 +1043,10 @@ def run_vectorized(simulator: "HybridSimulator", max_instructions: int) -> float
                         n_instr_sum = int(ni.sum())
                         nv_sum = int(nv.sum())
                         if nv_sum:
-                            vpu.execute_bulk(nv_sum)
+                            if timeout_ctl is None:
+                                vpu.execute_bulk(nv_sum)
+                            else:
+                                vpu.native_ops += nv_sum
                             micro = ni if vpu_gated else ni + nv * vpu_emul_extra
                         else:
                             micro = ni
@@ -1427,17 +1533,11 @@ def run_vectorized(simulator: "HybridSimulator", max_instructions: int) -> float
                                 bc_arr[rp] += btb_redirect_penalty
 
                         # Exact left-to-right cycle fold; translation
-                        # charges splice in before their block's cycles.
-                        if trans_list:
-                            tpos = np.array(
-                                [p for p, _ in trans_list], dtype=np.int64
-                            )
-                            tval = [v for _, v in trans_list]
-                            arr = np.insert(bc_arr, tpos, tval)
-                        else:
-                            arr = bc_arr
-                        arr[0] += cycles
-                        cycles = float(np.cumsum(arr)[-1])
+                        # charges (and TIMEOUT stalls before those) splice
+                        # in before their block's cycles.
+                        cycles = _fold_cycles(
+                            cycles, bc_arr, trans_list, nv, timeout_ctl
+                        )
                         fstate.bursts_recorded += 1
                         fstate.blocks_vectorized += n
                     # Compact consumed outcome prefixes (including a

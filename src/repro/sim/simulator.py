@@ -140,7 +140,7 @@ class HybridSimulator:
 
         # Every backend is bit-identical to the reference loop (including
         # the obs_level="full" event stream); backends that don't support a
-        # feature (probes, tracing, TIMEOUT mode) delegate internally.
+        # feature (probes; full tracing on vectorized) delegate internally.
         cycles = self.backend.run(self, max_instructions, probes)
 
         self.cycles = cycles

@@ -9,10 +9,16 @@ exhaustive 29-profile sweep lives behind the slow marker.
 """
 
 import dataclasses
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import repro
 from repro.core.config import PowerChopConfig
 from repro.isa.branches import LoopBranch, StaticBranch
 from repro.isa.instructions import InstructionMix
@@ -24,7 +30,7 @@ from repro.sim.backends import (
     resolve_backend_name,
     vectorized,
 )
-from repro.sim.backends.vectorized import _walk_table
+from repro.sim.backends.vectorized import _fold_cycles, _walk_table
 from repro.sim.engine import NON_KEY_FIELDS, SimJob
 from repro.sim.simulator import GatingMode, HybridSimulator
 from repro.uarch.config import design_for_suite
@@ -171,6 +177,36 @@ def test_simulator_reference_backend_has_no_replay_state():
     assert sim.fastpath_state is None
     assert sim.core.fastpath_listener is None
     sim.run(10_000)  # runs the reference loop without error
+
+
+def test_default_backend_job_never_imports_vectorized():
+    """The default path leaves numpy.random and the vectorized loop unloaded.
+
+    Importing them costs a few MB of resident memory that every default
+    run (and every pool worker) would carry.  A fresh interpreter starts
+    with a clean ``sys.modules``.
+    """
+    code = (
+        "import sys\n"
+        "from repro.sim.engine import SimJob, execute_job\n"
+        "from repro.sim.simulator import GatingMode\n"
+        "for mode in GatingMode:\n"
+        "    execute_job(SimJob(benchmark='google', mode=mode,"
+        " max_instructions=5000))\n"
+        "names = ('repro.sim.backends.vectorized', 'repro.sim.backends.rngkit',"
+        " 'numpy.random')\n"
+        "print(sorted(n for n in names if n in sys.modules))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 # ----------------------------------------------------------- engine caching
@@ -352,14 +388,130 @@ def test_vectorized_memory_bounded_by_burst_cap(monkeypatch):
     assert long < 1.5 * short, (short, long)
 
 
-def test_vectorized_timeout_mode_delegates_to_fastpath():
-    """TIMEOUT gates the VPU per block — inherently scalar, so no bursts."""
+def test_vectorized_timeout_mode_records_bursts():
+    """TIMEOUT runs in the burst loop; its controller is a scan in pass B."""
     design = design_for_suite("spec")
     sim = HybridSimulator(
         design, _single_phase_workload(0.0), GatingMode.TIMEOUT, backend="vectorized"
     )
     sim.run(50_000)
-    assert sim.fastpath_state.bursts_recorded == 0
+    state = sim.fastpath_state
+    assert state.bursts_recorded > 0
+    assert state.blocks_vectorized > 0
+
+
+# ------------------------------------------- vectorized TIMEOUT closed form
+
+#: table_timeout_sweep's apps and periods (100 to 100K cycles).
+_TIMEOUT_APPS = ("hmmer", "namd", "h264ref", "milc", "gobmk")
+_TIMEOUT_PERIODS = (100.0, 1_000.0, 5_000.0, 20_000.0, 100_000.0)
+#: The apps that switch the VPU many times by 20k instructions.
+_SWITCHING_APPS = ("namd", "h264ref", "milc")
+
+
+def _timeout_run(name, period, backend, max_instructions, obs_level):
+    profile = get_profile(name)
+    simulator = HybridSimulator(
+        design_for_suite(profile.suite),
+        build_workload(profile, 7),
+        GatingMode.TIMEOUT,
+        timeout_cycles=period,
+        obs_level=obs_level,
+        backend=backend,
+    )
+    return simulator, simulator.run(max_instructions)
+
+
+def _timeout_state(simulator):
+    """The controller's state and the accountant's VPU segment."""
+    ctl = simulator.timeout_controller
+    acc = simulator.accountant
+    seg_start = acc._seg_start["vpu"]
+    assert type(seg_start) is float  # a numpy scalar would leak into results
+    return {
+        "gate_ons": ctl.gate_ons,
+        "gate_offs": ctl.gate_offs,
+        "last_vector_cycle": ctl._last_vector_cycle,
+        "vpu_on": simulator.core.states.vpu_on,
+        "vpu_segment": (acc._vpu_state, seg_start, dict(acc._vpu_cycles)),
+        "switch_counts": dict(acc.switch_counts),
+    }
+
+
+def _assert_timeout_exact(name, period, max_instructions, obs_level="off"):
+    ref_sim, ref = _timeout_run(name, period, "reference", max_instructions,
+                                obs_level)
+    sim, result = _timeout_run(name, period, "vectorized", max_instructions,
+                               obs_level)
+    assert sim.fastpath_state.blocks_vectorized > 0  # the closed form ran
+    assert result.to_dict() == ref.to_dict()
+    assert _deep_state(sim) == _deep_state(ref_sim)
+    assert _timeout_state(sim) == _timeout_state(ref_sim)
+    return ref_sim.timeout_controller
+
+
+@pytest.mark.parametrize("period", _TIMEOUT_PERIODS)
+@pytest.mark.parametrize("profile_name", _SWITCHING_APPS)
+def test_vectorized_timeout_exact(profile_name, period):
+    """The pass-B scan makes the scalar controller's every transition."""
+    ctl = _assert_timeout_exact(profile_name, period, 120_000)
+    if period <= 1_000.0:
+        assert ctl.gate_offs > 0 and ctl.gate_ons > 0
+
+
+@pytest.mark.parametrize("period", [100.0, 1_000.0])
+@pytest.mark.parametrize("cap, budget", _CUT_POINTS)
+@pytest.mark.parametrize("profile_name", _SWITCHING_APPS)
+def test_vectorized_timeout_exact_at_any_cut_point(
+    monkeypatch, profile_name, cap, budget, period
+):
+    """The controller's state carries across flushes wherever they fall."""
+    monkeypatch.setattr(vectorized, "_BURST_BLOCKS", cap, raising=False)
+    ctl = _assert_timeout_exact(profile_name, period, budget)
+    assert ctl.gate_offs > 0
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("period", _TIMEOUT_PERIODS)
+@pytest.mark.parametrize("profile_name", _TIMEOUT_APPS)
+def test_vectorized_timeout_exact_sweep(profile_name, period):
+    """All of table_timeout_sweep, with the metrics snapshot compared too."""
+    _assert_timeout_exact(profile_name, period, 300_000, obs_level="metrics")
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_fold_cycles_replays_the_timeout_controller_on_ties(seed):
+    """Whole-cycle blocks make gaps equal to the period common.
+
+    ``step`` gates the VPU off only when the gap *exceeds* the period, so
+    the fold must leave a tie alone too.  The flush is cut in uneven parts
+    to carry the controller's state across folds.
+    """
+    gen = np.random.default_rng(seed)
+    n = 600
+    bc = gen.integers(1, 4, n).astype(np.float64)
+    nv = (gen.random(n) < 0.08).astype(np.int64)
+    charges = {int(p): 2.0 for p in gen.choice(n, 30, replace=False)}
+    cuts = [0, 7, 100, 101, 350, n]
+    sims = [
+        HybridSimulator(design_for_suite("spec"), _single_phase_workload(0.0),
+                        GatingMode.TIMEOUT, timeout_cycles=4.0)
+        for _ in range(2)
+    ]
+    ctl = sims[0].timeout_controller
+    want = 0.0
+    for i, (cycles, uses_vpu) in enumerate(zip(bc.tolist(), nv.tolist())):
+        want += ctl.step(uses_vpu > 0, want)
+        want += charges.get(i, 0)
+        want += cycles
+    got = 0.0
+    for a, b in zip(cuts, cuts[1:]):
+        trans = [(p - a, v) for p, v in sorted(charges.items()) if a <= p < b]
+        got = _fold_cycles(got, bc[a:b].copy(), trans, nv[a:b],
+                           sims[1].timeout_controller)
+    assert got == want
+    assert ctl.gate_offs > 0
+    assert _timeout_state(sims[1]) == _timeout_state(sims[0])
 
 
 def test_vectorized_probe_runs_delegate_to_reference():

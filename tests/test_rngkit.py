@@ -3,9 +3,11 @@
 The vectorized backend replaces scalar ``random.Random`` draws and branch
 ``next_outcome`` loops with bulk array materialization.  These tests pin
 the contract word-for-word: every materialized value must be bit-identical
-to what the scalar call sequence would have produced, and the scalar
-object must be left in exactly the state the scalar sequence would leave
-it in (so scalar and batched execution can interleave freely).
+to what the scalar call sequence would have produced.  Address-stream
+plans must also leave the scalar object in exactly the state the scalar
+sequence would leave it in (so scalar and batched execution can
+interleave freely); an owned branch stream instead transplants at most
+once and never writes back.
 """
 
 from __future__ import annotations
@@ -22,11 +24,11 @@ from repro.isa.branches import (
     LoopBranch,
     PatternBranch,
 )
+from repro.sim.backends import rngkit
 from repro.sim.backends.rngkit import (
-    bulk_randoms,
+    OwnedStream,
     peek_words,
     plan_stream_draws,
-    raw_words,
     write_back,
 )
 from repro.sim.backends.vectorized import (
@@ -43,47 +45,88 @@ from repro.workloads.generator import AddressStream, MemoryBehavior
 # ---------------------------------------------------------------------------
 
 
-def test_raw_words_matches_getrandbits():
-    scalar = random.Random(1234)
-    batched = random.Random(1234)
-    words = raw_words(batched, 257)
-    assert words.tolist() == [scalar.getrandbits(32) for _ in range(257)]
-    assert batched.getstate() == scalar.getstate()
-    # The written-back state continues the stream exactly.
-    assert batched.getrandbits(32) == scalar.getrandbits(32)
+def _count_transplants(monkeypatch):
+    calls = []
+    real = rngkit._transplant
+
+    def counted(state):
+        calls.append(state)
+        return real(state)
+
+    monkeypatch.setattr(rngkit, "_transplant", counted)
+    return calls
 
 
-def test_raw_words_mirror_is_reused_across_refills():
-    scalar = random.Random(77)
-    batched = random.Random(77)
-    first = raw_words(batched, 64)
-    mirror = batched._rk_mirror[0]
-    second = raw_words(batched, 128)
-    # No foreign draw in between: the cached bit generator is reused.
-    assert batched._rk_mirror[0] is mirror
-    expect = [scalar.getrandbits(32) for _ in range(192)]
-    assert first.tolist() + second.tolist() == expect
-    assert batched.getstate() == scalar.getstate()
+@pytest.mark.parametrize("demand, transplants", [(39, 0), (40, 0), (41, 1)])
+def test_owned_stream_matches_scalar_around_the_threshold(
+    monkeypatch, demand, transplants
+):
+    """Demand just below, exactly at and just past the threshold."""
+    monkeypatch.setattr(rngkit, "_TRANSPLANT_AFTER", 40)
+    calls = _count_transplants(monkeypatch)
+    scalar = random.Random(2024)
+    stream = OwnedStream(random.Random(2024))
+    got: list = []
+    chunk = 4  # refill-shaped requests: doubling, the last one trimmed
+    while len(got) < demand:
+        got += stream.randoms(min(chunk, demand - len(got))).tolist()
+        chunk *= 2
+    assert got == [scalar.random() for _ in range(demand)]
+    assert len(calls) == transplants
+
+
+def test_owned_stream_transplants_once(monkeypatch):
+    monkeypatch.setattr(rngkit, "_TRANSPLANT_AFTER", 40)
+    calls = _count_transplants(monkeypatch)
+    scalar = random.Random(7)
+    stream = OwnedStream(random.Random(7))
+    got: list = []
+    for n in (30, 0, 25, 1, 700, 0, 3):
+        values = stream.randoms(n)
+        assert values.dtype == np.float64 and len(values) == n
+        got += values.tolist()
+    assert got == [scalar.random() for _ in range(len(got))]
+    assert len(calls) == 1
+
+
+def test_owned_stream_does_not_write_back(monkeypatch):
+    """The run owns the stream: ``rng`` stays where the transplant found it."""
+    monkeypatch.setattr(rngkit, "_TRANSPLANT_AFTER", 10)
+    rng = random.Random(99)
+    stream = OwnedStream(rng)
+    stream.randoms(10)
+    state = rng.getstate()
+    stream.randoms(500)
+    assert rng.getstate() == state
 
 
 def test_mirror_invalidated_by_foreign_draw():
     scalar = random.Random(9)
     batched = random.Random(9)
-    a = raw_words(batched, 16)
-    assert a.tolist() == [scalar.getrandbits(32) for _ in range(16)]
+    write_back(batched, batched.getstate(), 16)
+    mirror = batched._rk_mirror[0]
+    for _ in range(16):
+        scalar.getrandbits(32)
     # A draw the kit didn't make: the cached mirror is now stale and the
     # state compare must force a fresh transplant, not reuse.
     assert batched.random() == scalar.random()
-    b = raw_words(batched, 16)
-    assert b.tolist() == [scalar.getrandbits(32) for _ in range(16)]
+    write_back(batched, batched.getstate(), 16)
+    assert batched._rk_mirror[0] is not mirror
+    for _ in range(16):
+        scalar.getrandbits(32)
     assert batched.getstate() == scalar.getstate()
 
 
-def test_bulk_randoms_bit_identical():
-    scalar = random.Random(42)
-    batched = random.Random(42)
-    vals = bulk_randoms(batched, 1000)
-    assert vals.tolist() == [scalar.random() for _ in range(1000)]
+def test_write_back_mirror_is_reused_across_plans():
+    scalar = random.Random(77)
+    batched = random.Random(77)
+    write_back(batched, batched.getstate(), 64)
+    mirror = batched._rk_mirror[0]
+    # No foreign draw in between: the cached bit generator is reused.
+    write_back(batched, batched.getstate(), 128)
+    assert batched._rk_mirror[0] is mirror
+    for _ in range(192):
+        scalar.getrandbits(32)
     assert batched.getstate() == scalar.getstate()
 
 
@@ -92,7 +135,7 @@ def test_peek_words_does_not_advance():
     state = rng.getstate()
     peeked = peek_words(state, 64)
     assert rng.getstate() == state
-    assert peeked.tolist() == raw_words(rng, 64).tolist()
+    assert peeked.tolist() == [rng.getrandbits(32) for _ in range(64)]
 
 
 def test_write_back_advances_exactly():
@@ -186,14 +229,20 @@ def test_pattern_refill_matches_scalar_at_every_phase():
         assert model._pos == ref._pos
 
 
-def test_biased_refill_matches_scalar_stream():
+def test_biased_refill_matches_scalar_stream(monkeypatch):
+    # The first chunk (64 values) draws scalar, the second transplants.
+    monkeypatch.setattr(rngkit, "_TRANSPLANT_AFTER", 100)
     model = BiasedBranch(0.31, seed=11)
     ref = BiasedBranch(0.31, seed=11)
     otk, osucc = _drain_refill(_make_biased_refill, model)
     expect = [int(ref.next_outcome(_HIST)) for _ in range(len(otk))]
     assert otk == expect
     assert osucc == [7 if t else 9 for t in expect]
-    assert model._rng.getstate() == ref._rng.getstate()
+    # No write-back: the model's own Random stopped at the transplant.
+    at_transplant = BiasedBranch(0.31, seed=11)
+    for _ in range(64):
+        at_transplant.next_outcome(_HIST)
+    assert model._rng.getstate() == at_transplant._rng.getstate()
 
 
 @pytest.mark.parametrize("invert", [False, True])

@@ -43,6 +43,26 @@ class TestProfileSimulator:
         assert 0 < breakdown["blocks_per_burst"] <= _BURST_BLOCKS
 
 
+    def test_breakdown_rejects_backends_without_pass_timers(self, monkeypatch, capsys):
+        sys.path.insert(0, "scripts")
+        try:
+            import profile_simulator
+        finally:
+            sys.path.pop(0)
+
+        def throughput(*args, **kwargs):
+            raise AssertionError("measured before rejecting the arguments")
+
+        monkeypatch.setattr(profile_simulator, "throughput", throughput)
+        with pytest.raises(SystemExit) as exc:
+            profile_simulator.main(["hmmer", "20000", "--backend", "reference",
+                                    "--breakdown"])
+        assert exc.value.code == 2
+        assert "error: --breakdown needs a backend with pass timers" in (
+            capsys.readouterr().err
+        )
+
+
 class TestBenchThroughput:
     def _script(self):
         sys.path.insert(0, "scripts")
@@ -74,6 +94,67 @@ class TestBenchThroughput:
             script.main(argv)
         assert exc.value.code == 2
         assert f"error: {flag} must be" in capsys.readouterr().err
+
+    def test_measure_repeats_in_rounds_over_all_cells(self, monkeypatch):
+        script = self._script()
+        calls = []
+        speeds = iter([1e6, 3e6, 2e6, 4e6, 5e6, 1e6, 2e6, 6e6])
+
+        def measure_once(name, budget, mode, backend):
+            calls.append((backend, name, mode.value))
+            return next(speeds)
+
+        monkeypatch.setattr(script, "MODES", script.MODES[:2])
+        monkeypatch.setattr(script, "measure_once", measure_once)
+        rates = script.measure(["milc", "gobmk"], 1000, 2, ["fastpath"])
+        cells = [("fastpath", name, mode) for name in ("milc", "gobmk")
+                 for mode in ("full", "powerchop")]
+        assert calls == cells + cells  # no cell repeats before every cell ran
+        assert rates == {"fastpath": {"milc": {"full": 5.0, "powerchop": 3.0},
+                                      "gobmk": {"full": 2.0, "powerchop": 6.0}}}
+
+    @staticmethod
+    def _rates(scale, modes=("full", "powerchop", "minimal", "timeout")):
+        return {
+            backend: {"milc": {mode: round(scale * factor, 3) for mode in modes}}
+            for backend, factor in (("fastpath", 1.0), ("vectorized", 2.0))
+        }
+
+    def test_update_records_no_ratio_against_earlier_entries(
+        self, monkeypatch, tmp_path
+    ):
+        script = self._script()
+        out = tmp_path / "bench.json"
+        old = {"label": "old", "rates": self._rates(1.0),
+               "speedup_vs_previous": {"fastpath": {"milc": {"full": 1.1}}}}
+        out.write_text(json.dumps({"history": [], "current": old}))
+        monkeypatch.setattr(script, "measure", lambda *a, **k: self._rates(3.0))
+        assert script.main(["--update", "--output", str(out), "--profiles", "milc",
+                            "--backend", "fastpath", "--backend", "vectorized"]) == 0
+        record = json.loads(out.read_text())
+        assert record["history"] == [old]  # earlier entries keep their fields
+        current = record["current"]
+        assert "speedup_vs_previous" not in current
+        assert current["vectorized_speedup_vs_fastpath"]["milc"]["timeout"] == 2.0
+
+    def test_check_skips_cells_the_committed_entry_lacks(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        script = self._script()
+        assert "timeout" in {mode.value for mode in script.MODES}
+        out = tmp_path / "bench.json"
+        committed = self._rates(1.0, modes=("full", "powerchop", "minimal"))
+        out.write_text(json.dumps({"history": [], "current": {"rates": committed}}))
+        fresh = self._rates(1.0)
+        for modes in fresh.values():
+            modes["milc"]["timeout"] = 0.001  # no committed cell to regress from
+        monkeypatch.setattr(script, "measure", lambda *a, **k: fresh)
+        argv = ["--check", "--output", str(out), "--profiles", "milc",
+                "--backend", "fastpath", "--backend", "vectorized"]
+        assert script.main(argv) == 0
+        fresh["fastpath"]["milc"]["full"] = 0.5  # a committed cell regressed
+        assert script.main(argv) == 1
+        assert "fastpath/milc/full" in capsys.readouterr().out
 
 
 class TestDeterminismLint:
