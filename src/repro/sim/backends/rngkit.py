@@ -37,6 +37,7 @@ round-trip) is pinned by ``tests/test_rngkit.py``.
 
 from __future__ import annotations
 
+import math
 from itertools import repeat
 from typing import Tuple
 
@@ -49,7 +50,10 @@ __all__ = ["OwnedStream", "peek_words", "write_back", "plan_stream_draws"]
 #: ``a = word >> 5`` and ``b = word >> 6`` (CPython ``_randommodule.c``).
 _RES53_SCALE = 1.0 / 9007199254740992.0
 
-_EMPTY_I64 = np.empty(0, dtype=np.int64)
+_EMPTY_U32 = np.empty(0, dtype=np.uint32)
+
+#: Indices per ``np.take`` call in the plan's pointer doubling.
+_GATHER_CHUNK = 16384
 
 #: Values an :class:`OwnedStream` draws through its own ``random.Random``
 #: before it moves to numpy, so a stream that a run drains only a little
@@ -99,8 +103,8 @@ def _mirror(rng, state) -> MT19937:
 def peek_words(state, n: int) -> np.ndarray:
     """The ``n`` 32-bit outputs following ``state``, without advancing it."""
     if n <= 0:
-        return _EMPTY_I64
-    return _transplant(state).random_raw(n).astype(np.int64)
+        return _EMPTY_U32
+    return _transplant(state).random_raw(n).astype(np.uint32)
 
 
 def write_back(rng, state, n_words: int) -> None:
@@ -109,7 +113,7 @@ def write_back(rng, state, n_words: int) -> None:
         rng.setstate(state)
         return
     bg = _mirror(rng, state)
-    bg.random_raw(n_words)
+    bg.random_raw(n_words, output=False)
     new_state = _read_state(bg, state[2])
     rng.setstate(new_state)
     rng._rk_mirror = (bg, new_state)
@@ -151,66 +155,92 @@ class OwnedStream:
 
 
 def _parse_draws(w, n, frac, ws, k, pure_random):
-    """One parse attempt over ``len(w)`` materialized words.
+    """One parse attempt over ``len(w)`` materialized ``uint32`` words.
 
     Returns ``(used_words, is_rand, rand_off)`` or ``None`` when ``w`` is
-    too short for ``n`` accesses (the caller regrows and retries).
+    too short for ``n`` accesses (the caller regrows and retries).  Its
+    transients are ``int32``/``uint32``/bool arrays over the words, each
+    dropped once dead, so a plan costs a small constant per access.
     """
     W = len(w)
-    idx = np.arange(W, dtype=np.int64)
-    v = w >> (32 - k)  # randrange candidate values (one word per attempt)
-    big = np.int64(2 * W + 4)
-    # nxt[j]: index of the first *accepted* randrange word at or after j.
-    nxt = np.minimum.accumulate(np.where(v < ws, idx, big)[::-1])[::-1]
-    sent = W + 1  # sticky overflow sentinel for the jump function
-    g = np.full(W + 2, sent, dtype=np.int64)
-    d = None
-    if frac:
-        # Every access starts with a random() draw over words (i, i+1).
-        a = w[:-1] >> 5
-        b = w[1:] >> 6
-        d = (a * 67108864 + b) * _RES53_SCALE
-        scan = np.full(W + 2, big, dtype=np.int64)
-        scan[:W] = nxt
-        acc2 = scan[2 : W + 2]  # accepted randrange word for a scan from i+2
-        have_pair = idx + 1 < W
-        if pure_random:
-            # Both branches of next() reach randrange on a pure-random
-            # pattern, so every access is 2 words + a rejection scan.
-            ok = have_pair & (acc2 < big)
-            g[:W] = np.where(ok, acc2 + 1, sent)
-        else:
-            take_rand = np.zeros(W, dtype=bool)
-            take_rand[: W - 1] = d < frac
-            ok = have_pair & np.where(take_rand, acc2 < big, True)
-            g[:W] = np.where(ok, np.where(take_rand, acc2 + 1, idx + 2), sent)
-    else:
+    shift = 32 - k
+    # nxt[j]: the first accepted randrange word at or after j (a word is
+    # accepted when ``w >> shift < ws``), or W when there is none; the two
+    # extra entries serve scans that start past the end.
+    nxt = np.arange(W + 2, dtype=np.int32)
+    np.putmask(nxt[:W], w >= ws << shift, W)
+    nxt[W:] = W
+    np.minimum.accumulate(nxt[::-1], out=nxt[::-1])
+    # g[i]: where the access starting at word i ends, which is the next
+    # access's start; W + 1 is a sticky "ran out of words" sentinel.
+    np.add(nxt, 1, out=nxt)
+    take_rand = None
+    if not frac:
         # Pure random pattern without a mix test: one rejection scan each.
-        ok = nxt < big
-        g[:W] = np.where(ok, nxt + 1, sent)
+        g = nxt
+    elif pure_random:
+        # Both branches of next() reach randrange on a pure-random
+        # pattern: a 2-word uniform draw, then a rejection scan from i+2.
+        g = np.empty(W + 2, dtype=np.int32)
+        g[:W] = nxt[2:]
+        g[W:] = W + 1
+    else:
+        # The mix test ``random() < frac`` over words (i, i+1), exactly on
+        # integers: random() is X / 2**53 with X = (w[i] >> 5) * 2**26 +
+        # (w[i+1] >> 6), so the test is X < ceil(frac * 2**53) = t.
+        t = math.ceil(frac / _RES53_SCALE)
+        ta, tb = t >> 26, t & 0x3FFFFFF
+        take_rand = np.zeros(W, dtype=bool)
+        head = w[:-1]
+        np.less(head, ta << 5, out=take_rand[:-1])
+        tie = head < (ta + 1) << 5
+        tie ^= take_rand[:-1]
+        tie = np.flatnonzero(tie)
+        take_rand[tie] = (w[tie + 1] >> 6) < tb
+        del tie, head
+        g = np.arange(2, W + 4, dtype=np.int32)
+        np.copyto(g[:W], nxt[2:], where=take_rand)
+        g[W:] = W + 1
+    del nxt
 
-    # Access start positions = orbit of the jump function from 0, via
-    # pointer doubling (g is strictly increasing until the sticky sentinel).
-    starts = np.zeros(1, dtype=np.int64)
+    # Access start positions = the orbit of g from 0, by pointer doubling
+    # (g is strictly increasing until the sticky sentinel).  The orbit has
+    # n + 1 entries: the last is where the n-th access ends.
+    orbit = np.empty(n + 1, dtype=np.int64)
+    orbit[0] = 0
+    have = 1
     jump = g
-    while len(starts) < n:
-        starts = np.concatenate((starts, jump[starts]))
-        jump = jump[jump]
-    starts = starts[:n]
-    last = int(starts[-1])
-    if last >= W:
+    del g
+    spare = None
+    while True:
+        step = min(have, n + 1 - have)
+        orbit[have : have + step] = jump[orbit[:step]]
+        have += step
+        if have > n:
+            break
+        doubled = np.empty_like(jump) if spare is None else spare
+        # take() widens int32 indices to intp; in chunks that copy stays
+        # small.
+        for a in range(0, W + 2, _GATHER_CHUNK):
+            b = a + _GATHER_CHUNK
+            np.take(jump, jump[a:b], out=doubled[a:b], mode="clip")
+        jump, spare = doubled, jump
+    del jump, spare
+    if orbit[n - 1] >= W:
         return None
-    used = int(g[last])
+    used = int(orbit[n])
     if used > W:
         return None
 
-    if frac and not pure_random:
-        is_rand = d[starts] < frac
-        acc_idx = np.where(is_rand, g[starts] - 1, 0)
-        rand_off = np.where(is_rand, v[acc_idx], 0)
+    ends = orbit[1:]
+    if take_rand is not None:
+        is_rand = take_rand[orbit[:-1]]
+        del take_rand
+        rand_off = np.zeros(n, dtype=np.int64)
+        rand_off[is_rand] = w[ends[is_rand] - 1] >> shift
     else:
         is_rand = np.ones(n, dtype=bool)
-        rand_off = v[g[starts] - 1]
+        rand_off = (w[ends - 1] >> shift).astype(np.int64)
     return used, is_rand, rand_off
 
 

@@ -31,10 +31,11 @@ access at a time, this backend splits each steady stretch of execution (a
   call per burst.
 
 Branch-predictor kernels
-    A two-bit saturating counter is a clamp map ``x -> min(B, max(A, x+s))``
-    and clamp maps compose in closed form, so a whole burst of counter
-    updates is a segmented prefix scan (:func:`_sat2_apply`; Hillis-Steele
-    over ``(A, B, shift)`` triples, grouped by counter cell).  Per-cell
+    A two-bit saturating counter update is a map of the four counter
+    values, which packs into one byte, and two packed maps compose by one
+    lookup in a 256x256 table, so a whole burst of counter updates is a
+    segmented prefix scan (:func:`_sat2_apply`; Hillis-Steele over packed
+    maps, grouped by counter cell, one table gather per round).  Per-cell
     history registers (local predictor) and the global history register
     (gshare) are B-bit sliding windows over the outcome bit-string, which
     one ``np.correlate`` against bit weights evaluates for every event at
@@ -66,18 +67,31 @@ Segment dispatch
     classified against a per-phase high-water mark (phases live in
     disjoint 1 GB slots; line-disjointness is verified once per run).  A
     **fresh** segment — every line above its stream's mark — misses every
-    level by construction, so its L1/MLC/LLC insertions happen through
-    :func:`_bulk_insert` (stable set-grouped batch insert with exact
-    FIFO eviction and writeback counts) and the prefetcher's sequential
-    hits collapse to a closed form once its window is verifiably
-    engaged.  A **warm** segment — a loop-pattern revisit whose phases'
-    combined MLC footprint fits the minimum gated MLC ways observed so
-    far — is an L1-miss/MLC-hit run handled by :func:`_bulk_insert` plus
-    :func:`_bulk_rehit` (batched MRU-touch with dirty-OR), with zero LLC
-    events.  Runs straddling the mark split at it; the first head of a
-    flush is forced onto the generic walk when it continues the previous
-    flush's last line (that line is L1-MRU).  Everything else takes the
-    generic per-head loop, so the dispatch is exact by construction.
+    level by construction, and the prefetcher's sequential hits collapse
+    to a closed form once its window is verifiably engaged.  A **warm**
+    segment — a loop-pattern revisit whose phases' combined MLC footprint
+    fits the minimum gated MLC ways observed so far — is an
+    L1-miss/MLC-hit run: :func:`_bulk_rehit` (batched MRU-touch with
+    dirty-OR) on the MLC, with zero LLC events.  Runs straddling the mark
+    split at it.  Everything else takes the generic per-head loop, which
+    builds its per-visit lists for its own heads only, so the dispatch is
+    exact by construction.
+
+    The guaranteed-miss fills of both forms are *queued*, one
+    :class:`_FreshFills` queue per level, instead of rewriting every set
+    they reach on every flush: a set's contents, LRU order and dirty bits
+    after any run of such fills are a closed form of the fill sequence
+    (the last ``ways`` lines per set, with their write-OR), and so is the
+    writeback count (a cumsum of dirty bits over the displaced fills,
+    plus the pre-existing dirty entries pushed out).  :func:`_bulk_insert`
+    applies a queue when something reads the level: a generic probe, a
+    warm segment (MLC only), a non-idle window boundary (before
+    ``on_entry``, whose policy may re-gate MLC ways, and the scalar
+    trigger block) and the end of the run.  Hit and miss counts still
+    settle every flush.  The first head of a flush that continues the
+    previous flush's last line (still L1-MRU) is a hit on the last queued
+    L1 fill, a dirty-bit OR on the queue; if another fill was queued after
+    it, the head takes the generic walk.
 
 Bit-exact cycle accounting
     Per-block cycles are assembled in reference order — base issue
@@ -93,11 +107,14 @@ Burst boundaries and cross-window extension
     A burst ends when (a) the phase segment ends, (b) the instruction
     budget is reached, (c) a translation entry triggers a PowerChop
     window end whose policy step is **not provably idle**, or (d) the
-    record reaches ``_BURST_BLOCKS`` blocks.  Pass B composes exactly
-    across any cut (a non-idle window end already cuts at an arbitrary
-    block), so (d) changes no result; it bounds pass B's per-burst arrays
-    and lists by ``_BURST_BLOCKS`` instead of by the longest steady
-    stretch, so a run's memory stops growing with its budget.  A window end
+    record reaches ``_BURST_BLOCKS`` (2048) blocks.  Pass B composes
+    exactly across any cut (a non-idle window end already cuts at an
+    arbitrary block), so (d) changes no result; it bounds pass B's
+    per-burst arrays and lists by ``_BURST_BLOCKS`` instead of by the
+    longest steady stretch, so a run's memory stops growing with its
+    budget.  Pass B's time follows its batch (the fill queues above, and
+    an RNG plan whose transients are a small constant per access), so
+    the cap costs little time.  A window end
     is idle — and the burst replays straight through it — when nothing
     the boundary does is observable: either the window is still inside
     the warmup epoch (the controller only flushes the HTB and keeps
@@ -181,12 +198,17 @@ _CHUNK_MAX = 32768
 #: Burst-record cap: pass A flushes once ``rec`` holds this many blocks, so
 #: pass B's per-burst arrays stay this size however long a steady stretch
 #: runs.  Pass B composes exactly across any cut, so the value trades only
-#: peak memory against the number of flushes, never results.  A flush of a
-#: streaming phase rewrites every cache set it reaches (``_bulk_insert``),
-#: about 3 ms on the server hierarchy: on a 2-vCPU host, 1M-instruction
-#: milc/lbm MINIMAL runs took 1.2-1.3x as long at 4096 as uncapped, and
-#: stayed within noise (at most 1.1x) at 8192.
-_BURST_BLOCKS = 8192
+#: peak memory against the number of flushes, never results.  On a 2-vCPU
+#: host, 1M-instruction milc/lbm MINIMAL runs took 1.07-1.16x as long at
+#: 2048 as at 8192, and 1.2x at 1024 (interleaved pairs, medians); what a
+#: flush still costs regardless of its size is mostly the branch kernels'
+#: per-call work.
+_BURST_BLOCKS = 2048
+
+#: Lines a :class:`_FreshFills` queue holds before it settles at the next
+#: flush: bounds the queue's memory (about 9 bytes a line, plus the
+#: settle's transients) on long streaming runs.
+_FILL_LIMIT = 32768
 
 
 # --------------------------------------------------------------------------
@@ -194,67 +216,69 @@ _BURST_BLOCKS = 8192
 # --------------------------------------------------------------------------
 
 
+def _compose_table() -> np.ndarray:
+    """Composition table of packed 2-bit maps: ``T[(g << 8) | f] = g o f``.
+
+    A map of {0, 1, 2, 3} into itself packs into one byte, two bits per
+    input: ``m(x) = (m >> 2x) & 3``.  ``g o f`` applies ``f`` first.
+    """
+    shifts = np.arange(0, 8, 2, dtype=np.uint8)
+    vals = (np.arange(256, dtype=np.uint8)[:, None] >> shifts) & 3
+    table = np.zeros((256, 256), dtype=np.uint8)
+    for x in range(4):
+        # table[g, f] gets g(f(x)) in bits 2x and 2x + 1.
+        table |= vals[:, vals[:, x]] << (2 * x)
+    return table.ravel()
+
+
+_SAT2_COMPOSE = _compose_table()
+#: ``x -> min(3, x + 1)`` and ``x -> max(0, x - 1)``, packed.
+_SAT2_UP = np.uint8(0b11111001)
+_SAT2_DOWN = np.uint8(0b10010000)
+
+
 def _sat2_apply(table, cells, tk):
     """Batched 2-bit saturating-counter update; returns pre-update values.
 
     ``table`` is the live Python counter list; ``cells``/``tk`` give the
     counter index and taken bit per event in time order.  Each update is
-    the clamp map ``x -> min(3, max(0, x + d))`` with ``d = ±1``; clamp
-    maps form a semigroup under composition —
-
-        ``(g o f)(x) = min(Bg, max(Ag, min(Bf, max(Af, x+Sf)) + Sg))``
-        with  ``S' = Sf+Sg``, ``A' = max(Ag, Af+Sg)``,
-        ``B' = min(Bg, max(Ag, Bf+Sg))``
-
-    — so the per-cell prefix compositions come from one segmented
-    Hillis-Steele scan (events stably sorted by cell).  Pre-update values
-    and final cell states are then closed-form applications of the
-    composed maps to the table's start values.
+    a map of the four counter values, packed into one byte (see
+    :func:`_compose_table`), and maps compose by one table gather, so the
+    per-cell prefix compositions come from one segmented Hillis-Steele
+    scan (events stably sorted by cell) with one gather per doubling
+    round.  Pre-update values and final cell states are then the composed
+    maps read at the table's start values.
     """
     n = len(cells)
     order = np.argsort(cells, kind="stable")
     sc = cells[order]
-    d = tk[order].astype(np.int64) * 2 - 1
+    # Prefix maps: element i holds the composition of steps [seg_start..i].
+    maps = np.where(tk[order], _SAT2_UP, _SAT2_DOWN)
     seg_first = np.empty(n, dtype=bool)
     seg_first[0] = True
     seg_first[1:] = sc[1:] != sc[:-1]
     seg_id = np.cumsum(seg_first) - 1
     start_idx = np.flatnonzero(seg_first)
-    seg_start = start_idx[seg_id]
-    # Prefix maps: element i holds the composition of steps [seg_start..i].
-    A = np.zeros(n, dtype=np.int64)
-    B = np.full(n, 3, dtype=np.int64)
-    S = d.copy()
-    idx = np.arange(n, dtype=np.int64)
-    # The scan only needs to reach the longest segment: once ``o`` is at
-    # least that, ``idx - o`` falls before every segment start and the
-    # remaining doubling rounds are all no-ops.
-    max_seg = int(np.diff(np.append(start_idx, n)).max())
+    rank = np.arange(n, dtype=np.int64) - start_idx[seg_id]
+    # The scan only needs to reach the longest segment: once the offset is
+    # at least that, no element has a partner left in its segment.
+    max_seg = int(rank.max()) + 1
     o = 1
     while o < max_seg:
-        can = (idx - o) >= seg_start
-        if can.any():
-            j = idx[can] - o
-            Af, Bf, Sf = A[j], B[j], S[j]
-            Ag, Bg, Sg = A[can], B[can], S[can]
-            A[can] = np.maximum(Ag, Af + Sg)
-            B[can] = np.minimum(Bg, np.maximum(Ag, Bf + Sg))
-            S[can] = Sf + Sg
+        i = np.flatnonzero(rank >= o)
+        maps[i] = _SAT2_COMPOSE[(maps[i].astype(np.intp) << 8) | maps[i - o]]
         o <<= 1
     groups = sc[start_idx].tolist()
-    x0 = np.array([table[c] for c in groups], dtype=np.int64)
-    x0g = x0[seg_id]
-    pre = np.empty(n, dtype=np.int64)
-    pre[seg_first] = x0
-    nf = ~seg_first
-    if nf.any():
-        pj = idx[nf] - 1
-        pre[nf] = np.minimum(B[pj], np.maximum(A[pj], x0g[nf] + S[pj]))
+    x2 = np.array([table[c] for c in groups], dtype=np.uint8) << 1
+    pre = np.empty(n, dtype=np.uint8)
+    pre[start_idx] = x2 >> 1
+    nf = np.flatnonzero(~seg_first)
+    pre[nf] = (maps[nf - 1] >> x2[seg_id[nf]]) & 3
     end_idx = np.append(start_idx[1:], n) - 1
-    finals = np.minimum(B[end_idx], np.maximum(A[end_idx], x0 + S[end_idx]))
+    finals = (maps[end_idx] >> x2) & 3
     for c, v in zip(groups, finals.tolist()):
         table[c] = v
-    out = np.empty(n, dtype=np.int64)
+    out = np.empty(n, dtype=np.uint8)
     out[order] = pre
     return out
 
@@ -510,55 +534,119 @@ def _fold_cycles(cycles, bc_arr, trans_list, nv, ctl) -> float:
 def _bulk_insert(sets_map, mask, ways, ln_np, dt_np) -> int:
     """Apply a guaranteed-miss insert sequence to one cache level.
 
-    Every line in ``ln_np`` must be absent from its set for the whole
-    event slice — callers prove this with the segment classifier (fresh
-    lines were never touched; warm-loop revisits are separated by at
-    least ``ways`` same-set inserts, so the prior copy is already
-    evicted).  Under that precondition each per-set dict behaves as a
-    pure FIFO queue — append the new line, evict from the front while
-    over capacity — so the batch effect is: keep the last
-    ``min(ways, c)`` of the set's new events, evict everything older.
-    Returns the number of dirty writebacks; the per-set dicts end
-    key-for-key identical to the scalar insert/evict loop, insertion
-    order included.
+    Every line in ``ln_np`` must be absent from its set when its insert
+    comes — callers prove this with the segment classifier (fresh lines
+    were never touched; warm-loop revisits are separated by at least
+    ``ways`` same-set inserts, so the prior copy is already evicted).
+    Under that precondition each per-set dict behaves as a pure FIFO
+    queue — append the new line, evict from the front while over
+    capacity — so the batch effect is: keep the last ``min(ways, c)`` of
+    the set's new events, evict everything older.  Only the kept events
+    reach Python; the dropped ones are counted by a cumsum of their
+    dirty bits.  Returns the number of dirty writebacks; the per-set
+    dicts end key-for-key identical to the scalar insert/evict loop,
+    insertion order included.
     """
-    sids = ln_np & mask
-    order = np.argsort(sids, kind="stable")
+    n = len(ln_np)
+    order = np.argsort(ln_np & mask, kind="stable")
     ls = ln_np[order]
     ds = dt_np[order]
-    sid_s = sids[order]
-    n = len(ls)
-    gstart = np.concatenate(
-        (np.zeros(1, dtype=np.int64), np.flatnonzero(np.diff(sid_s)) + 1)
-    )
-    gend = np.append(gstart[1:], n)
-    cs = np.concatenate(
-        (np.zeros(1, dtype=np.int64), np.cumsum(ds.astype(np.int64)))
-    )
-    ls_l = ls.tolist()
-    ds_l = ds.tolist()
-    wb = 0
-    for gs, ge, sid in zip(gstart.tolist(), gend.tolist(), sid_s[gstart].tolist()):
+    del order
+    sid_s = ls & mask
+    gstart = np.flatnonzero(sid_s[1:] != sid_s[:-1]) + 1
+    sids = sid_s[np.append(0, gstart)].tolist()
+    del sid_s
+    gend = np.append(gstart, n)
+    gstart = np.append(0, gstart)
+    # Per set, events before ``ks`` fall out of the set within the batch.
+    ks = np.maximum(gstart, gend - ways)
+    cs = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(ds, dtype=np.int32, out=cs[1:])
+    wb = int((cs[ks] - cs[gstart]).sum())
+    del cs
+    kept = np.arange(n) >= np.repeat(ks, gend - gstart)
+    ls_l = ls[kept].tolist()
+    ds_l = ds[kept].tolist()
+    full = (gend - gstart >= ways).tolist()
+    j = 0
+    for sid, c, f in zip(sids, (gend - ks).tolist(), full):
         s = sets_map[sid]
-        if ge - gs >= ways:
-            # Every pre-existing entry and the oldest new events fall out.
-            for v in s.values():
-                if v:
-                    wb += 1
+        if f:
+            # Every pre-existing entry falls out.
+            wb += sum(s.values())
             s.clear()
-            ks = ge - ways
-            wb += int(cs[ks] - cs[gs])
-            for j in range(ks, ge):
-                s[ls_l[j]] = ds_l[j]
         else:
-            over = len(s) + (ge - gs) - ways
+            over = len(s) + c - ways
             while over > 0:
                 over -= 1
                 if s.pop(next(iter(s))):
                     wb += 1
-            for j in range(gs, ge):
-                s[ls_l[j]] = ds_l[j]
+        for k in range(j, j + c):
+            s[ls_l[k]] = ds_l[k]
+        j += c
     return wb
+
+
+class _FreshFills:
+    """One cache level's queued guaranteed-miss fills, applied on demand.
+
+    Fresh segments (and the L1 side of warm ones) only ever append to a
+    set and evict from its front, so a set's contents, LRU order and
+    dirty bits after any run of such fills are a closed form of the fill
+    sequence (:func:`_bulk_insert`).  Pass B therefore queues the fills
+    here in order instead of rewriting every set they reach on every
+    flush, and the run loop calls :meth:`settle` before anything reads
+    the level's sets: a generic or warm-segment probe, a non-idle window
+    boundary (whose policy may re-gate MLC ways) and the end of the run.
+    Writebacks are counted when the fills settle; nothing reads the
+    counter before that.  The queue also settles once it holds
+    ``_FILL_LIMIT`` lines, which bounds its memory on long runs.
+    """
+
+    __slots__ = ("cache", "lines", "dirty", "n")
+
+    def __init__(self, cache) -> None:
+        self.cache = cache
+        self.lines: list = []
+        self.dirty: list = []
+        self.n = 0
+
+    def add(self, lines, dirty) -> None:
+        """Queue fills of ``lines``, each absent from its set when it comes.
+
+        The level's active ways cannot change while fills are queued: only
+        a window boundary's policy re-gates them, and it settles first.
+        """
+        self.lines.append(lines)
+        self.dirty.append(dirty)
+        self.n += len(lines)
+
+    def touch_last(self, line: int, write: bool) -> bool:
+        """Hit ``line`` in place if it is the last queued fill.
+
+        The last fill is its set's MRU line, so a hit on it leaves the LRU
+        order alone and only ORs ``write`` into its dirty bit.
+        """
+        if not self.n or self.lines[-1][-1] != line:
+            return False
+        if write:
+            self.dirty[-1][-1] = True
+        return True
+
+    def settle(self) -> None:
+        """Apply every queued fill to the set dicts."""
+        if not self.n:
+            return
+        lines, dirty = self.lines, self.dirty
+        self.lines, self.dirty, self.n = [], [], 0
+        cache = self.cache
+        cache.writebacks += _bulk_insert(
+            cache._sets,
+            cache._set_mask,
+            cache.active_ways,
+            lines[0] if len(lines) == 1 else np.concatenate(lines),
+            dirty[0] if len(dirty) == 1 else np.concatenate(dirty),
+        )
 
 
 def _bulk_rehit(sets_map, mask, ln_np, dt_np) -> None:
@@ -902,6 +990,17 @@ def run_vectorized(simulator: "HybridSimulator", max_instructions: int) -> float
     mlc_ways_min = mlc.active_ways
     # Per-phase [high_water_line, last_touched_line] state.
     hw_map: dict = {}
+    # Queued guaranteed-miss fills, one queue per level (see _FreshFills).
+    l1_fills = _FreshFills(l1)
+    mlc_fills = _FreshFills(mlc)
+    fills = [l1_fills, mlc_fills]
+    if llc is not None:
+        llc_fills = _FreshFills(llc)
+        fills.append(llc_fills)
+
+    def _settle() -> None:
+        for f in fills:
+            f.settle()
 
     cycles = 0.0
     produced = 0
@@ -1018,11 +1117,19 @@ def run_vectorized(simulator: "HybridSimulator", max_instructions: int) -> float
                 # always run native.
                 vpu_gated = vpu.gated_on or timeout_ctl is not None
 
-                def _flush() -> None:
-                    """Pass B: evaluate and apply the recorded burst."""
+                def _flush(settle: bool = False) -> None:
+                    """Pass B: evaluate and apply the recorded burst.
+
+                    ``settle`` also applies every queued cache fill, for a
+                    reader outside pass B.
+                    """
                     nonlocal cycles, cursor, c0, pb_time, mlc_ways_min
                     nonlocal b_translated, b_entries, b_overflow, b_rc
                     t0 = perf_counter()
+                    # Settle long queues now, while no burst array is live.
+                    for f in fills:
+                        if f.n >= _FILL_LIMIT:
+                            f.settle()
                     n = len(rec)
                     n_instr_sum = micro_sum = nv_sum = 0
                     N = 0
@@ -1104,11 +1211,7 @@ def run_vectorized(simulator: "HybridSimulator", max_instructions: int) -> float
                             hl_np = lines[heads]
                             hw_np = wr[heads]
                             hl = hl_np.tolist()
-                            ha = addr[heads].tolist()
-                            hw = hw_np.tolist()
-                            wa = w_any.tolist()
                             vo = owner[heads].tolist()
-                            vl = vlens.tolist()
                             Hn = len(hl)
                             hits = misses = wb = 0
                             mlc_hits = mlc_misses = mlc_wb = 0
@@ -1156,9 +1259,17 @@ def run_vectorized(simulator: "HybridSimulator", max_instructions: int) -> float
                                 if hl[0] == space_hw[1]:
                                     # Continuation revisit of the line
                                     # straddling the flush boundary: it is
-                                    # still L1-MRU, so it must take the
-                                    # exact path (head hit).
-                                    _emit(0, 0, 1)
+                                    # still L1-MRU, so it must not take a
+                                    # bulk path.  While it is the last
+                                    # queued L1 fill the hit is a dirty-bit
+                                    # OR on the queue; otherwise it takes
+                                    # the exact path (head hit).
+                                    if l1_fills.touch_last(
+                                        hl[0], bool(w_any[0])
+                                    ):
+                                        hits += int(vlens[0])
+                                    else:
+                                        _emit(0, 0, 1)
                                     sa0 = 1
                                 for si in range(len(bounds) - 1):
                                     sa = bounds[si]
@@ -1196,30 +1307,14 @@ def run_vectorized(simulator: "HybridSimulator", max_instructions: int) -> float
                                 if cls == 2:
                                     misses += Hr
                                     hits += int(vlens[ra:rb].sum()) - Hr
-                                    wb += _bulk_insert(
-                                        l1_sets,
-                                        set_mask,
-                                        l1_ways,
-                                        hl_np[ra:rb],
-                                        w_any[ra:rb],
-                                    )
+                                    ln_r = hl_np[ra:rb]
+                                    hw_r = hw_np[ra:rb]
+                                    l1_fills.add(ln_r, w_any[ra:rb])
                                     mlc_misses += Hr
-                                    mlc_wb += _bulk_insert(
-                                        mlc_sets,
-                                        mlc_mask,
-                                        mlc_ways,
-                                        hl_np[ra:rb],
-                                        hw_np[ra:rb],
-                                    )
+                                    mlc_fills.add(ln_r, hw_r)
                                     if llc is not None:
                                         llc_misses += Hr
-                                        llc_wb += _bulk_insert(
-                                            llc_sets,
-                                            llc_mask,
-                                            llc_ways,
-                                            hl_np[ra:rb],
-                                            hw_np[ra:rb],
-                                        )
+                                        llc_fills.add(ln_r, hw_r)
                                     lv_mem += Hr
                                     cost_hit = prefetched_cost
                                     cost_miss = memory_cost
@@ -1227,13 +1322,8 @@ def run_vectorized(simulator: "HybridSimulator", max_instructions: int) -> float
                                 elif cls == 1:
                                     misses += Hr
                                     hits += int(vlens[ra:rb].sum()) - Hr
-                                    wb += _bulk_insert(
-                                        l1_sets,
-                                        set_mask,
-                                        l1_ways,
-                                        hl_np[ra:rb],
-                                        w_any[ra:rb],
-                                    )
+                                    l1_fills.add(hl_np[ra:rb], w_any[ra:rb])
+                                    mlc_fills.settle()
                                     _bulk_rehit(
                                         mlc_sets,
                                         mlc_mask,
@@ -1249,17 +1339,24 @@ def run_vectorized(simulator: "HybridSimulator", max_instructions: int) -> float
                                     cost_hit = cost_miss = mlc_cost
                                     track_cov = False
                                 else:
-                                    for k in range(ra, rb):
-                                        ln = hl[k]
+                                    # The per-head walk reads every level.
+                                    _settle()
+                                    for ln, a, hwk, wak, vn, vk in zip(
+                                        hl[ra:rb],
+                                        addr[heads[ra:rb]].tolist(),
+                                        hw_np[ra:rb].tolist(),
+                                        w_any[ra:rb].tolist(),
+                                        vlens[ra:rb].tolist(),
+                                        vo[ra:rb],
+                                    ):
                                         cache_set = l1_sets[ln & set_mask]
                                         dirty = cache_set.pop(ln, _MISSING)
-                                        vn = vl[k]
                                         if dirty is not _MISSING:
                                             # Head hit: the whole visit
                                             # hits; the dirty bit ends
                                             # old | any-write.
                                             hits += vn
-                                            cache_set[ln] = dirty or wa[k]
+                                            cache_set[ln] = dirty or wak
                                             continue
                                         # Head miss: real fill + eviction,
                                         # then an inlined access_below_l1
@@ -1267,13 +1364,12 @@ def run_vectorized(simulator: "HybridSimulator", max_instructions: int) -> float
                                         # head made MRU.
                                         misses += 1
                                         hits += vn - 1
-                                        cache_set[ln] = wa[k]
+                                        cache_set[ln] = wak
                                         while len(cache_set) > l1_ways:
                                             if cache_set.pop(
                                                 next(iter(cache_set))
                                             ):
                                                 wb += 1
-                                        hwk = hw[k]
                                         # Prefetcher scan (addr >>
                                         # line_shift == ln: the hierarchy
                                         # shares the L1's line shift).
@@ -1298,7 +1394,6 @@ def run_vectorized(simulator: "HybridSimulator", max_instructions: int) -> float
                                                 )
                                                 pf_streams[lru] = ln
                                                 pf_stamps[lru] = pf_clock
-                                        a = ha[k]
                                         mln = a >> mlc_shift
                                         mset = mlc_sets[mln & mlc_mask]
                                         mdirty = mset.pop(mln, _MISSING)
@@ -1350,7 +1445,7 @@ def run_vectorized(simulator: "HybridSimulator", max_instructions: int) -> float
                                                 else:
                                                     cost = memory_cost
                                         if cost:
-                                            bc[vo[k]] += cost
+                                            bc[vk] += cost
                                     continue
 
                                 # Prefetcher + stall costs for the bulk
@@ -1575,6 +1670,8 @@ def run_vectorized(simulator: "HybridSimulator", max_instructions: int) -> float
                     del trans_list[:]
                     b_translated = b_entries = b_overflow = b_rc = 0
                     c0 = cursor
+                    if settle:
+                        _settle()
                     pb_time += perf_counter() - t0
 
                 def _exec_block_scalar(block, taken) -> None:
@@ -1784,8 +1881,11 @@ def run_vectorized(simulator: "HybridSimulator", max_instructions: int) -> float
                                         # and cycles are exact, run the
                                         # boundary scalar, execute this
                                         # block post-policy, then start a
-                                        # fresh burst.
-                                        _flush()
+                                        # fresh burst.  The policy may
+                                        # re-gate MLC ways and the block
+                                        # probes every level, so the
+                                        # queued fills settle first.
+                                        _flush(settle=True)
                                         t_sc = perf_counter()
                                         htb.window_executions = wexec
                                         stall = on_entry(entered, cycles)
@@ -1844,7 +1944,7 @@ def run_vectorized(simulator: "HybridSimulator", max_instructions: int) -> float
 
                     produced += ni_b
                     if produced >= max_instructions:
-                        _flush()
+                        _flush(settle=True)
                         stream._cursor = cursor
                         bt._current = cur_trans
                         if cur_trans is not None:

@@ -33,6 +33,7 @@ from repro.sim.backends import (
 from repro.sim.backends.vectorized import _fold_cycles, _walk_table
 from repro.sim.engine import NON_KEY_FIELDS, SimJob
 from repro.sim.simulator import GatingMode, HybridSimulator
+from repro.uarch.cache.cache import SetAssocCache
 from repro.uarch.config import design_for_suite
 from repro.workloads.generator import MemoryBehavior, PhaseSpec, SyntheticWorkload
 from repro.workloads.profiles import build_workload
@@ -68,15 +69,24 @@ def _run(name, mode, backend, seed=7, max_instructions=120_000, obs_level="off")
     return simulator, result
 
 
+def _sets_in_order(cache):
+    """Each set's (line, dirty) entries, LRU first.
+
+    Dict ``==`` ignores insertion order, which is the LRU recency order.
+    """
+    return [list(s.items()) for s in cache._sets]
+
+
 def _deep_state(simulator):
     """Component state a result dict can't see; must still match exactly."""
     core = simulator.core
     h = core.hierarchy
     bpu = core.bpu
     state = {
-        "l1_sets": h.l1._sets,
-        "mlc_sets": h.mlc._sets,
-        "llc_sets": h.llc._sets if h.llc is not None else None,
+        "l1_sets": _sets_in_order(h.l1),
+        "mlc_sets": _sets_in_order(h.mlc),
+        "llc_sets": _sets_in_order(h.llc) if h.llc is not None else None,
+        "writebacks": [c.writebacks for c in (h.l1, h.mlc, h.llc) if c is not None],
         "levels": list(h.level_counts),
         "local_hist": list(bpu.large.local._histories),
         "local_ctr": list(bpu.large.local._counters),
@@ -343,7 +353,7 @@ def _assert_exact_at_cut_points(monkeypatch, name, mode, cap, budget, obs_level)
 
 
 @pytest.mark.parametrize("cap, budget", _CUT_POINTS)
-@pytest.mark.parametrize("profile_name", ["bzip2", "milc", "google"])
+@pytest.mark.parametrize("profile_name", ["bzip2", "milc", "lbm", "google"])
 @pytest.mark.parametrize(
     "mode", [GatingMode.FULL, GatingMode.MINIMAL, GatingMode.POWERCHOP]
 )
@@ -365,10 +375,139 @@ def test_vectorized_exact_at_any_cut_point_all(
     _assert_exact_at_cut_points(monkeypatch, profile_name, mode, cap, budget, obs_level)
 
 
-def _traced_peak(max_instructions):
+# ------------------------------------- queued fills and their read points
+
+
+def _fill_log(monkeypatch):
+    """Log the vectorized loop's fill queues in run order.
+
+    Entries: ``("add", cache, lines)`` per queued run of fills,
+    ``("settle", cache, lines)`` per settle of a non-empty queue,
+    ``("touch", hit)`` per continuation-head touch and ``("ways", cache,
+    old, new)`` per way re-gating.
+    """
+    log = []
+    fills = vectorized._FreshFills
+    add, settle, touch = fills.add, fills.settle, fills.touch_last
+    regate = SetAssocCache.set_active_ways
+
+    def logged_add(self, lines, dirty):
+        log.append(("add", self.cache.name, len(lines)))
+        add(self, lines, dirty)
+
+    def logged_settle(self):
+        if self.n:
+            log.append(("settle", self.cache.name, self.n))
+        settle(self)
+
+    def logged_touch(self, line, write):
+        hit = touch(self, line, write)
+        log.append(("touch", hit))
+        return hit
+
+    def logged_regate(self, n_ways):
+        log.append(("ways", self.name, self.active_ways, n_ways))
+        return regate(self, n_ways)
+
+    monkeypatch.setattr(fills, "add", logged_add)
+    monkeypatch.setattr(fills, "settle", logged_settle)
+    monkeypatch.setattr(fills, "touch_last", logged_touch)
+    monkeypatch.setattr(SetAssocCache, "set_active_ways", logged_regate)
+    return log
+
+
+def _assert_vectorized_matches(ref_run, vec_run):
+    ref_sim, ref = ref_run
+    sim, result = vec_run
+    assert result.to_dict() == ref.to_dict()
+    assert _deep_state(sim) == _deep_state(ref_sim)
+
+
+#: ``_QUICK`` POWERCHOP runs that shrink the MLC once by 120k, in the
+#: middle of a streaming phase, and the dirty lines that flushes.
+_MLC_SHRINKS = {"milc": 1074, "lbm": 684}
+
+
+@pytest.mark.parametrize("profile_name", sorted(_MLC_SHRINKS))
+def test_fills_settle_before_a_boundary_regates_the_mlc(monkeypatch, profile_name):
+    """A non-idle boundary settles the queued MLC fills before its policy."""
+    ref_run = _run(profile_name, GatingMode.POWERCHOP, "reference")
+    log = _fill_log(monkeypatch)
+    vec_run = _run(profile_name, GatingMode.POWERCHOP, "vectorized")
+    _assert_vectorized_matches(ref_run, vec_run)
+    mlc = vec_run[0].core.hierarchy.mlc
+    assert mlc.flushed_dirty == _MLC_SHRINKS[profile_name]
+    shrink = next(
+        i for i, e in enumerate(log)
+        if e[0] == "ways" and e[1] == "MLC" and e[3] < e[2]
+    )
+    mlc_queue = [e for e in log[:shrink] if e[0] != "ways" and e[1:2] == ("MLC",)]
+    assert mlc_queue[-1][0] == "settle" and mlc_queue[-1][2] > 0
+
+
+def _two_stream_workload():
+    """Two streaming phases that cut each other off mid-line.
+
+    A block makes 4 accesses 8 bytes apart, so every other block ends
+    inside a 64-byte line, and odd segment lengths hand the other phase
+    the CPU there.  Each phase resumes on the line it left, while the
+    other phase's fresh fills are queued.
+    """
+    mix = InstructionMix(scalar=5, vector=0, loads=3, stores=1, has_branch=True)
+    phases = []
+    for p, name in enumerate(("a", "b")):
+        blocks = []
+        for i in range(4):
+            pc = 0x1000 * (p + 1) + i * 0x40
+            branch = StaticBranch(pc=pc + (mix.total - 1) * 4, model=LoopBranch(16))
+            blocks.append(BasicBlock(pc, mix, branch, (i + 1) % 4, (i + 1) % 4))
+        behavior = MemoryBehavior(working_set_kb=64.0, pattern="stream", stride=8)
+        phases.append(PhaseSpec(name, CodeRegion(p, blocks), behavior))
+    return SyntheticWorkload(
+        "two-streams", "spec", phases, [("a", 301), ("b", 257)], seed=3
+    )
+
+
+def _run_two_streams(mode, backend):
+    simulator = HybridSimulator(
+        design_for_suite("spec"),
+        _two_stream_workload(),
+        mode,
+        powerchop_config=_QUICK if mode is GatingMode.POWERCHOP else None,
+        backend=backend,
+    )
+    return simulator, simulator.run(60_000)
+
+
+@pytest.mark.parametrize("mode", [GatingMode.MINIMAL, GatingMode.POWERCHOP])
+def test_fills_settle_before_a_continuation_probe(monkeypatch, mode):
+    """A resumed phase's first head takes the exact path over queued fills."""
+    ref_run = _run_two_streams(mode, "reference")
+    log = _fill_log(monkeypatch)
+    vec_run = _run_two_streams(mode, "vectorized")
+    _assert_vectorized_matches(ref_run, vec_run)
+    missed = [i for i, e in enumerate(log) if e == ("touch", False)]
+    assert any(log[i + 1][0] == "settle" for i in missed), log[:40]
+
+
+@pytest.mark.parametrize("profile_name", ["milc", "lbm"])
+def test_fills_settle_at_the_end_of_the_run(monkeypatch, profile_name):
+    """A streaming MINIMAL run ends with every level's fills still queued."""
+    ref_run = _run(profile_name, GatingMode.MINIMAL, "reference")
+    log = _fill_log(monkeypatch)
+    vec_run = _run(profile_name, GatingMode.MINIMAL, "vectorized")
+    _assert_vectorized_matches(ref_run, vec_run)
+    # A flush that cuts a line hands its next flush a hit on the queue.
+    assert ("touch", True) in log
+    tail = log[-3:]
+    assert [e[:2] for e in tail] == [("settle", n) for n in ("L1D", "MLC", "LLC")]
+    assert all(e[2] > 0 for e in tail)
+
+
+def _traced_peak(max_instructions, random_frac):
     sim = HybridSimulator(
         design_for_suite("spec"),
-        _single_phase_workload(0.0, segment_blocks=10**7),
+        _single_phase_workload(random_frac, segment_blocks=10**7),
         GatingMode.FULL,
         backend="vectorized",
     )
@@ -380,12 +519,21 @@ def _traced_peak(max_instructions):
         tracemalloc.stop()
 
 
+def _assert_peak_flat(monkeypatch, random_frac):
+    monkeypatch.setattr(vectorized, "_BURST_BLOCKS", 512, raising=False)
+    short = _traced_peak(20_000, random_frac)
+    long = _traced_peak(80_000, random_frac)
+    assert long < 1.5 * short, (short, long)
+
+
 def test_vectorized_memory_bounded_by_burst_cap(monkeypatch):
     """One endless steady segment: pass B's peak must not grow with the run."""
-    monkeypatch.setattr(vectorized, "_BURST_BLOCKS", 512, raising=False)
-    short = _traced_peak(20_000)
-    long = _traced_peak(80_000)
-    assert long < 1.5 * short, (short, long)
+    _assert_peak_flat(monkeypatch, 0.0)
+
+
+def test_vectorized_memory_bounded_with_rng_plan(monkeypatch):
+    """The same on a mixed stream, whose every flush plans its RNG draws."""
+    _assert_peak_flat(monkeypatch, 0.3)
 
 
 def test_vectorized_timeout_mode_records_bursts():
