@@ -15,12 +15,13 @@ selects the execution backend (reference / fastpath / vectorized; default
 ``repro.sim.backends.DEFAULT_BACKEND``).
 
 ``--breakdown`` runs one extra POWERCHOP simulation and reports where its
-wall-clock went: pass A (the recording walk), pass B (the array flush
-kernels), and scalar (window-boundary blocks executed out of line), plus
-how many bursts pass B flushed and their mean length in blocks
-(``bursts``, ``blocks_per_burst``).  It needs a backend that keeps those
-timers (``needs_replay_state``): ``--breakdown`` with ``--backend
-reference`` exits with status 2 before measuring anything.  With
+wall-clock went: pass A (the recording walk, which also resolves the
+branches), pass B (the array flush kernels), and scalar (window-boundary
+blocks executed out of line), plus how many bursts pass B flushed and
+their mean length in blocks (``bursts``, ``blocks_per_burst``).  It
+needs a backend that keeps those timers (``needs_replay_state``):
+``--breakdown`` with ``--backend reference`` exits with status 2 before
+measuring anything.  With
 ``--json`` the output becomes ``{"rates": ..., "breakdown": ...}`` — the
 flat shape is kept whenever ``--breakdown`` is absent, so existing
 consumers are unaffected.

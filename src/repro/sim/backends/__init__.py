@@ -19,11 +19,12 @@ Built-in backends:
   per-access, but with inlined component hot paths, batched monotonic
   counters and memoized same-line block replay.
 - ``vectorized`` — :mod:`repro.sim.backends.vectorized` (requires numpy):
-  records each burst's access+branch trace once with a lean scalar pass,
-  then evaluates the burst's timing, cache behaviour, RNG-driven address
-  draws and (in TIMEOUT mode) the VPU timeout controller as batched array
-  kernels.  Probe runs delegate to ``reference`` and fully traced runs to
-  ``fastpath``.
+  records each burst's block trace once with a lean scalar pass that also
+  resolves its branches through the predictor, then evaluates the burst's
+  timing, cache behaviour, RNG-driven address draws and (in TIMEOUT mode)
+  the VPU timeout controller as batched array kernels.  Probe runs, and
+  hierarchies whose levels differ in line size, delegate to
+  ``reference``; fully traced runs go to ``fastpath``.
 
 Selection rules: ``HybridSimulator(backend="...")`` resolves a name
 through :func:`get_backend`; ``None`` selects :data:`DEFAULT_BACKEND`.

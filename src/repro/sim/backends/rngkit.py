@@ -100,11 +100,25 @@ def _mirror(rng, state) -> MT19937:
     return _transplant(state)
 
 
-def peek_words(state, n: int) -> np.ndarray:
-    """The ``n`` 32-bit outputs following ``state``, without advancing it."""
+def peek_words(state, n: int, rng=None) -> np.ndarray:
+    """The ``n`` 32-bit outputs following ``state``, without advancing it.
+
+    Given the ``rng`` that sits at ``state``, the words come from its
+    mirror (:func:`_mirror`), whose position is saved and restored around
+    the read, and that mirror is cached, so the :func:`write_back` that
+    follows reuses it: a plan then builds no ``MT19937`` when the cached
+    mirror is current, and one instead of two when it is not.
+    """
     if n <= 0:
         return _EMPTY_U32
-    return _transplant(state).random_raw(n).astype(np.uint32)
+    if rng is None:
+        return _transplant(state).random_raw(n).astype(np.uint32)
+    bg = _mirror(rng, state)
+    start = bg.state
+    words = bg.random_raw(n).astype(np.uint32)
+    bg.state = start
+    rng._rk_mirror = (bg, state)
+    return words
 
 
 def write_back(rng, state, n_words: int) -> None:
@@ -268,7 +282,7 @@ def plan_stream_draws(stream, n: int) -> Tuple[np.ndarray, np.ndarray]:
         per = attempts
     need = int(n * per * 1.10) + 80
     while True:
-        words = peek_words(state, need)
+        words = peek_words(state, need, stream._rng)
         plan = _parse_draws(words, n, frac, ws, k, pure_random)
         if plan is not None:
             break

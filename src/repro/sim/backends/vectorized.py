@@ -14,38 +14,29 @@ access at a time, this backend splits each steady stretch of execution (a
   words from it, with no state written back.  Loop/Pattern outcomes are
   closed-form over an index range, and GlobalCorrelated branches reduce
   to a popcount over the maintained history register — so the walk
-  consumes precomputed (taken, successor) buffers and only steers the BT
-  continuation (one index+compare against the current translation's
-  block-pc tuple, with a per-run memo of region-cache entries) and the
-  HTB window counter (hoisted dict ops) per block.  No predictor updates,
-  no cycle math, no memory accesses: those are deferred to pass B.
+  takes each branchy block's ``(taken, successor)`` pair from an iterator
+  over chunked arrays, steers the BT continuation (one index+compare
+  against the current translation's block-pc tuple, with a per-run memo
+  of region-cache entries) and the HTB window counter (hoisted dict ops),
+  and resolves the branch through the active predictor right there: the
+  tournament and small-local updates and the BTB touch of
+  ``BranchUnit.predict_and_update``, inlined, with the GHR and the
+  lookup, mispredict and BTB tallies in locals that each flush writes
+  back.  The predictor's mode is constant within a burst (only a non-idle
+  boundary changes it, and that flushes first); under ``force_small`` the
+  walk calls the unit's own method.  The walk records the positions of
+  mispredicted and redirected blocks.  No cycle math and no memory
+  accesses: those are deferred to pass B.
 - **Pass B (numpy).**  Gather per-block attribute columns
   (:meth:`CodeRegion.attr_arrays`) for the recorded indices and evaluate
   the whole burst at once: issue cycles as one elementwise product, the
   address stream in closed form (deterministic cursors, and — for
   ``random_frac > 0`` streams — a bulk RNG plan from
   :func:`rngkit.plan_stream_draws`), the cache walk via the **visit
-  kernel**, and the whole branch-predictor batch via the **run-length
-  kernels** below.  Monotonic counters land in one
+  kernel** below, and the recorded branch penalties after each block's
+  memory stalls.  Monotonic counters land in one
   :meth:`PerfCounters.add_batch` / :meth:`SetAssocCache.charge_bulk`
   call per burst.
-
-Branch-predictor kernels
-    A two-bit saturating counter update is a map of the four counter
-    values, which packs into one byte, and two packed maps compose by one
-    lookup in a 256x256 table, so a whole burst of counter updates is a
-    segmented prefix scan (:func:`_sat2_apply`; Hillis-Steele over packed
-    maps, grouped by counter cell, one table gather per round).  Per-cell
-    history registers (local predictor) and the global history register
-    (gshare) are B-bit sliding windows over the outcome bit-string, which
-    one ``np.correlate`` against bit weights evaluates for every event at
-    once (:func:`_local_kernel` / :func:`_gshare_kernel`).  The tournament
-    chooser is another saturating-counter scan over the disagreement
-    subsequence, and the BTB batch (:func:`_btb_batch`) resolves
-    hit/miss/LRU order in closed form whenever the batch provably causes
-    no evictions (falling back to an exact scalar walk near capacity).
-    Every kernel returns *pre-update* predictions, so the composed batch
-    is state- and output-identical to the sequential reference updates.
 
 Visit kernel
     A *visit* is a maximal run of consecutive accesses to the same cache
@@ -60,7 +51,10 @@ Visit kernel
     probes) against the live structures.  Because the probes are real,
     the kernel is exact by construction — L1/MLC/LLC LRU order,
     writebacks, and prefetcher state evolve exactly as in the reference
-    loop, at ~``line_size/stride`` fewer Python iterations.
+    loop, at ~``line_size/stride`` fewer Python iterations.  Every level
+    shares the L1's line size, so the head's line index probes them all;
+    a set never holds more than its ways, so a fill evicts at most one
+    line; and L1 hits are the flush's accesses minus its misses.
 
 Segment dispatch
     Before the per-visit scalar walk, each ascending run of lines is
@@ -151,15 +145,16 @@ TIMEOUT in closed form
     controller's own state carries across flushes.
 
 Fallbacks
-    Probes delegate to the ``reference`` backend; full tracing delegates to
-    ``fastpath``.  There is no per-access fallback anymore: ``random_frac >
-    0`` and pure-random streams batch through the RNG plan.
+    Probes, and a hierarchy whose levels differ in line size (no design
+    builds one), delegate to the ``reference`` backend; full tracing
+    delegates to ``fastpath``.  There is no per-access fallback anymore:
+    ``random_frac > 0`` and pure-random streams batch through the RNG plan.
 """
 
 from __future__ import annotations
 
 import zlib
-from itertools import repeat
+from itertools import chain, repeat
 from time import perf_counter
 from typing import TYPE_CHECKING, Optional, Sequence
 
@@ -190,8 +185,8 @@ _K_BUFFERED = 1  # Biased/Random/Loop/Pattern: outcomes pre-materialized
 _K_GLOBAL = 2  # GlobalCorrelatedBranch: popcount over the history register
 _K_GENERIC = 3  # anything else: model.next_outcome(history)
 
-#: Outcome-buffer refill sizing: start small (cold blocks waste few draws),
-#: double up to a cap so hot blocks amortize the numpy call.
+#: Outcome chunk sizing: start small (cold blocks waste few draws), double
+#: up to a cap so hot blocks amortize the numpy call.
 _CHUNK0 = 64
 _CHUNK_MAX = 32768
 
@@ -199,249 +194,15 @@ _CHUNK_MAX = 32768
 #: pass B's per-burst arrays stay this size however long a steady stretch
 #: runs.  Pass B composes exactly across any cut, so the value trades only
 #: peak memory against the number of flushes, never results.  On a 2-vCPU
-#: host, 1M-instruction milc/lbm MINIMAL runs took 1.07-1.16x as long at
-#: 2048 as at 8192, and 1.2x at 1024 (interleaved pairs, medians); what a
-#: flush still costs regardless of its size is mostly the branch kernels'
-#: per-call work.
+#: host, 1M-instruction milc/lbm MINIMAL runs took 0.96-0.98x as long at
+#: 2048 as at 8192, 1.00-1.03x at 1024 and 1.08-1.11x at 512 (7
+#: interleaved rounds, medians).
 _BURST_BLOCKS = 2048
 
 #: Lines a :class:`_FreshFills` queue holds before it settles at the next
 #: flush: bounds the queue's memory (about 9 bytes a line, plus the
 #: settle's transients) on long streaming runs.
 _FILL_LIMIT = 32768
-
-
-# --------------------------------------------------------------------------
-# Branch-predictor array kernels
-# --------------------------------------------------------------------------
-
-
-def _compose_table() -> np.ndarray:
-    """Composition table of packed 2-bit maps: ``T[(g << 8) | f] = g o f``.
-
-    A map of {0, 1, 2, 3} into itself packs into one byte, two bits per
-    input: ``m(x) = (m >> 2x) & 3``.  ``g o f`` applies ``f`` first.
-    """
-    shifts = np.arange(0, 8, 2, dtype=np.uint8)
-    vals = (np.arange(256, dtype=np.uint8)[:, None] >> shifts) & 3
-    table = np.zeros((256, 256), dtype=np.uint8)
-    for x in range(4):
-        # table[g, f] gets g(f(x)) in bits 2x and 2x + 1.
-        table |= vals[:, vals[:, x]] << (2 * x)
-    return table.ravel()
-
-
-_SAT2_COMPOSE = _compose_table()
-#: ``x -> min(3, x + 1)`` and ``x -> max(0, x - 1)``, packed.
-_SAT2_UP = np.uint8(0b11111001)
-_SAT2_DOWN = np.uint8(0b10010000)
-
-
-def _sat2_apply(table, cells, tk):
-    """Batched 2-bit saturating-counter update; returns pre-update values.
-
-    ``table`` is the live Python counter list; ``cells``/``tk`` give the
-    counter index and taken bit per event in time order.  Each update is
-    a map of the four counter values, packed into one byte (see
-    :func:`_compose_table`), and maps compose by one table gather, so the
-    per-cell prefix compositions come from one segmented Hillis-Steele
-    scan (events stably sorted by cell) with one gather per doubling
-    round.  Pre-update values and final cell states are then the composed
-    maps read at the table's start values.
-    """
-    n = len(cells)
-    order = np.argsort(cells, kind="stable")
-    sc = cells[order]
-    # Prefix maps: element i holds the composition of steps [seg_start..i].
-    maps = np.where(tk[order], _SAT2_UP, _SAT2_DOWN)
-    seg_first = np.empty(n, dtype=bool)
-    seg_first[0] = True
-    seg_first[1:] = sc[1:] != sc[:-1]
-    seg_id = np.cumsum(seg_first) - 1
-    start_idx = np.flatnonzero(seg_first)
-    rank = np.arange(n, dtype=np.int64) - start_idx[seg_id]
-    # The scan only needs to reach the longest segment: once the offset is
-    # at least that, no element has a partner left in its segment.
-    max_seg = int(rank.max()) + 1
-    o = 1
-    while o < max_seg:
-        i = np.flatnonzero(rank >= o)
-        maps[i] = _SAT2_COMPOSE[(maps[i].astype(np.intp) << 8) | maps[i - o]]
-        o <<= 1
-    groups = sc[start_idx].tolist()
-    x2 = np.array([table[c] for c in groups], dtype=np.uint8) << 1
-    pre = np.empty(n, dtype=np.uint8)
-    pre[start_idx] = x2 >> 1
-    nf = np.flatnonzero(~seg_first)
-    pre[nf] = (maps[nf - 1] >> x2[seg_id[nf]]) & 3
-    end_idx = np.append(start_idx[1:], n) - 1
-    finals = (maps[end_idx] >> x2) & 3
-    for c, v in zip(groups, finals.tolist()):
-        table[c] = v
-    out = np.empty(n, dtype=np.uint8)
-    out[order] = pre
-    return out
-
-
-def _local_kernel(pred, keys, tk):
-    """Batched :meth:`LocalPredictor.predict_update`; returns predictions.
-
-    Per-cell B-bit history registers are sliding windows over that cell's
-    outcome bit-string: build one flat bit array — per history cell, the
-    B bits of its start value (MSB first) followed by its taken bits in
-    time order — and a single ``np.correlate`` against the bit weights
-    yields every intermediate history value.  Counter updates (indexed by
-    the pre-update histories, which may collide *across* cells) then go
-    through :func:`_sat2_apply` in global time order.
-    """
-    n = len(keys)
-    bits = pred.history_bits
-    hidx = keys & pred._hist_mask
-    order = np.argsort(hidx, kind="stable")
-    sh = hidx[order]
-    seg_first = np.empty(n, dtype=bool)
-    seg_first[0] = True
-    seg_first[1:] = sh[1:] != sh[:-1]
-    start_idx = np.flatnonzero(seg_first)
-    n_groups = len(start_idx)
-    seg_id = np.cumsum(seg_first) - 1
-    histories = pred._histories
-    groups = sh[start_idx].tolist()
-    h0 = np.array([histories[g] for g in groups], dtype=np.int64)
-    flat = np.zeros(n + n_groups * bits, dtype=np.int64)
-    starts_f = start_idx + np.arange(n_groups, dtype=np.int64) * bits
-    for t in range(bits):
-        flat[starts_f + t] = (h0 >> (bits - 1 - t)) & 1
-    elem_pos = np.arange(n, dtype=np.int64) + (seg_id + 1) * bits
-    flat[elem_pos] = tk[order]
-    kern = 1 << np.arange(bits - 1, -1, -1, dtype=np.int64)
-    winvals = np.correlate(flat, kern, "valid")
-    hist_pre_s = winvals[elem_pos - bits]
-    end_idx = np.append(start_idx[1:], n) - 1
-    finals = winvals[elem_pos[end_idx] + 1 - bits]
-    for g, v in zip(groups, finals.tolist()):
-        histories[g] = v
-    hist_pre = np.empty(n, dtype=np.int64)
-    hist_pre[order] = hist_pre_s
-    cidx = hist_pre & pred._pat_mask
-    ctr_pre = _sat2_apply(pred._counters, cidx, tk)
-    return ctr_pre >= 2
-
-
-def _gshare_kernel(pred, keys, tk):
-    """Batched :meth:`GSharePredictor.predict_update`; returns predictions.
-
-    The global history register is one B-bit sliding window over the whole
-    batch's outcome string (same correlate trick as :func:`_local_kernel`
-    with a single group).
-    """
-    n = len(keys)
-    bits = pred.history_bits
-    flat = np.empty(n + bits, dtype=np.int64)
-    g0 = pred.ghr
-    for t in range(bits):
-        flat[t] = (g0 >> (bits - 1 - t)) & 1
-    flat[bits:] = tk
-    kern = 1 << np.arange(bits - 1, -1, -1, dtype=np.int64)
-    winvals = np.correlate(flat, kern, "valid")
-    ghr_pre = winvals[:n]
-    pred.ghr = int(winvals[n])
-    gidx = (keys ^ ghr_pre) & pred._mask
-    ctr_pre = _sat2_apply(pred._counters, gidx, tk)
-    return ctr_pre >= 2
-
-
-def _btb_batch(btb, pcs):
-    """Batched :meth:`BranchTargetBuffer.touch`; returns per-event redirects.
-
-    ``pcs`` holds the taken-branch pcs in time order.  When the batch's
-    new entries provably fit without evicting (``len + new <= capacity``),
-    the result is closed-form: each new pc misses exactly once (its first
-    touch), everything else hits, and the final LRU order moves the
-    touched pcs to the back ordered by *last* touch.  Near capacity the
-    exact scalar walk runs instead (evictions interleave with touches).
-    """
-    n = len(pcs)
-    entries = btb._entries
-    redirect = np.zeros(n, dtype=bool)
-    uniq, first_idx = np.unique(pcs, return_index=True)
-    new_pcs = [p for p in uniq.tolist() if p not in entries]
-    if len(entries) + len(new_pcs) <= btb.n_entries:
-        if new_pcs:
-            first_map = dict(zip(uniq.tolist(), first_idx.tolist()))
-            for p in new_pcs:
-                redirect[first_map[p]] = True
-        btb.hits += n - len(new_pcs)
-        btb.misses += len(new_pcs)
-        rev_uniq, rev_idx = np.unique(pcs[::-1], return_index=True)
-        last_pos = n - 1 - rev_idx
-        for p in rev_uniq[np.argsort(last_pos)].tolist():
-            entries.pop(p, None)
-            entries[p] = 0
-    else:  # pragma: no cover - needs a profile with >capacity branch pcs
-        cap = btb.n_entries
-        hits = misses = 0
-        for i, p in enumerate(pcs.tolist()):
-            if p in entries:
-                entries.move_to_end(p)
-                entries[p] = 0
-                hits += 1
-            else:
-                misses += 1
-                if len(entries) >= cap:
-                    entries.popitem(last=False)
-                entries[p] = 0
-                redirect[i] = True
-        btb.hits += hits
-        btb.misses += misses
-    return redirect
-
-
-def _bpu_batch(bpu, keys, bpcs, tk):
-    """Batched :meth:`BranchUnit.predict_and_update` over one burst.
-
-    ``keys`` are the predictor indices (``pc >> 2``), ``bpcs`` the raw
-    branch pcs (BTB keys), ``tk`` the taken bits, all in time order.
-    Returns ``(mispredicted, redirected)`` bool arrays.  The three modes
-    mirror the scalar unit exactly: hot (tournament + small-local
-    training, large BTB), force-small (small predicts, large trains,
-    small BTB), gated (small only).  The mode is constant within a burst
-    — only window-end policy changes it, and that flushes first.
-    """
-    m = len(keys)
-    bpu.lookups += m
-    tkb = tk.astype(bool)
-    if bpu.large_on:
-        large = bpu.large
-        lp = _local_kernel(large.local, keys, tk)
-        gp = _gshare_kernel(large.global_pred, keys, tk)
-        dis = lp != gp
-        if dis.any():
-            chidx = keys[dis] & large._chooser_mask
-            gsel = gp[dis]
-            ctk = (gsel == tkb[dis]).astype(np.int64)
-            cpre = _sat2_apply(large._chooser, chidx, ctk)
-        if not bpu.force_small:
-            pred = lp.copy()
-            if dis.any():
-                pred[dis] = np.where(cpre >= 2, gsel, lp[dis])
-            _local_kernel(bpu.small, keys, tk)
-            btb = bpu.large_btb
-        else:
-            pred = _local_kernel(bpu.small, keys, tk)
-            btb = bpu.small_btb
-    else:
-        pred = _local_kernel(bpu.small, keys, tk)
-        btb = bpu.small_btb
-    misp = pred != tkb
-    bpu.mispredicts += int(misp.sum())
-    redirect = np.zeros(m, dtype=bool)
-    taken_pos = np.flatnonzero(tkb)
-    if len(taken_pos):
-        r = _btb_batch(btb, bpcs[taken_pos])
-        redirect[taken_pos] = r
-        bpu.btb_misses += int(r.sum())
-    return misp, redirect
 
 
 # --------------------------------------------------------------------------
@@ -675,111 +436,101 @@ def _bulk_rehit(sets_map, mask, ln_np, dt_np) -> None:
         st[ln] = st.pop(ln) or w
 
 
-class _WalkAux:
-    """Per-region pass-A side state (fused step tuples + outcome buffers).
+def _chunked(draw):
+    """Chain the chunks ``draw(c)`` returns, each drawn when the walk needs it.
 
-    ``steps[i]`` is one tuple ``(kind, pc, n_instr, fall_succ, pay)`` so
-    the walk unpacks a block's whole dispatch state in a single indexed
-    load.  ``pay`` carries the kind-specific payload: buffered kinds get
-    the mutable ``[pos, taken_buf, succ_buf, refill]`` list (``pays``
-    collects every such buffer for compaction), global-correlated kinds
-    get ``(mask, invert, noise_pay, taken_succ, fall_succ)``, generic
-    kinds ``(model, taken_succ, fall_succ)``.
+    Chunk sizes double from ``_CHUNK0`` up to ``_CHUNK_MAX``, so cold blocks
+    waste few draws and hot blocks amortize the numpy call.  A chunk is
+    drawn only when the previous one is exhausted and another value is
+    asked for.
     """
 
-    __slots__ = ("kinds_arr", "bpcs_arr", "otk", "steps", "pays")
+    def chunks():
+        c = _CHUNK0
+        while True:
+            yield draw(c)
+            if c < _CHUNK_MAX:
+                c *= 2
+
+    return chain.from_iterable(chunks())
 
 
-def _make_biased_refill(otk, osucc, model, tsucc, fsucc):
-    chunk = [_CHUNK0]
+def _biased_outcomes(model, tsucc, fsucc):
+    """``(taken, successor)`` pairs of a Biased/Random branch, in order."""
     randoms = OwnedStream(model._rng).randoms
 
-    def refill():
-        c = chunk[0]
-        if c < _CHUNK_MAX:
-            chunk[0] = c * 2
+    def draw(c):
         t = randoms(c) < model.p_taken
-        otk.extend(t.view(np.int8).tolist())
-        osucc.extend(np.where(t, tsucc, fsucc).tolist())
+        return zip(t.view(np.int8).tolist(), np.where(t, tsucc, fsucc).tolist())
 
-    return refill
+    return _chunked(draw)
 
 
-def _make_loop_refill(otk, osucc, model, tsucc, fsucc):
-    chunk = [_CHUNK0]
+def _loop_outcomes(model, tsucc, fsucc):
+    """``(taken, successor)`` pairs of a Loop branch, in order."""
 
-    def refill():
-        c = chunk[0]
-        if c < _CHUNK_MAX:
-            chunk[0] = c * 2
+    def draw(c):
         period = model.period
         c0 = model._count
         # next_outcome: count wraps to 0 (not-taken) when it reaches the
         # period, so draw e from state c0 is taken iff (c0+1+e) % period.
         t = (c0 + 1 + np.arange(c, dtype=np.int64)) % period != 0
         model._count = (c0 + c) % period
-        otk.extend(t.view(np.int8).tolist())
-        osucc.extend(np.where(t, tsucc, fsucc).tolist())
+        return zip(t.view(np.int8).tolist(), np.where(t, tsucc, fsucc).tolist())
 
-    return refill
+    return _chunked(draw)
 
 
-def _make_pattern_refill(otk, osucc, model, tsucc, fsucc):
-    chunk = [_CHUNK0]
+def _pattern_outcomes(model, tsucc, fsucc):
+    """``(taken, successor)`` pairs of a Pattern branch, in order."""
     pat = np.array(model.pattern, dtype=bool)
     length = len(pat)
 
-    def refill():
-        c = chunk[0]
-        if c < _CHUNK_MAX:
-            chunk[0] = c * 2
+    def draw(c):
         p0 = model._pos
         t = pat[(p0 + np.arange(c, dtype=np.int64)) % length]
         model._pos = (p0 + c) % length
-        otk.extend(t.view(np.int8).tolist())
-        osucc.extend(np.where(t, tsucc, fsucc).tolist())
+        return zip(t.view(np.int8).tolist(), np.where(t, tsucc, fsucc).tolist())
 
-    return refill
+    return _chunked(draw)
 
 
-def _make_noise_refill(otk, model):
-    chunk = [_CHUNK0]
+def _noise_flips(model):
+    """A GlobalCorrelated branch's noise flips (0/1 per outcome), in order."""
     randoms = OwnedStream(model._rng).randoms
 
-    def refill():
-        c = chunk[0]
-        if c < _CHUNK_MAX:
-            chunk[0] = c * 2
-        f = randoms(c) < model.noise
-        otk.extend(f.view(np.int8).tolist())
+    def draw(c):
+        return (randoms(c) < model.noise).view(np.int8).tolist()
 
-    return refill
+    return _chunked(draw)
 
 
 def _walk_table(region):
     """Per-region pass-A step table (memoized on the region object).
 
-    Returns ``(branches, aux)``: the branch-object column (pass B bumps
-    ``branch.executions``) and a :class:`_WalkAux` with the fused step
-    tuples, outcome-buffer pays, and the array forms of the kind/bpc
-    columns.  Buffered kinds replicate each model's ``next_outcome``
-    stream byte-for-byte — including RNG draw order — which the
-    equivalence suite verifies; over-materialized draws only advance
-    private model state (RNG word position, loop counter, pattern
-    cursor) that nothing else observes, and buffers are valid
-    continuations across bursts, segments, and windows.
+    Returns ``(branches, steps)``: the branch-object column (pass B bumps
+    ``branch.executions``) and one tuple ``(kind, pc, n_instr, fall_succ,
+    pay, branch_pc)`` per block, so the walk unpacks a block's whole
+    dispatch state in a single indexed load.  ``pay`` carries the
+    kind-specific payload: buffered kinds get the ``__next__`` of their
+    ``(taken, successor)`` iterator, global-correlated kinds ``(mask,
+    invert, noise_next, taken_succ, fall_succ)``, generic kinds ``(model,
+    taken_succ, fall_succ)``.
+
+    Buffered kinds replicate each model's ``next_outcome`` stream
+    byte-for-byte — including RNG draw order — which the equivalence
+    suite verifies; over-materialized draws only advance private model
+    state (RNG word position, loop counter, pattern cursor) that nothing
+    else observes, and the iterators are valid continuations across
+    bursts, segments, and windows.
     """
     try:
         return region._pass_a_columns
     except AttributeError:
         pass
-    branches, bpcs, kinds = [], [], []
+    branches: list = []
     steps: list = []
-    pays: list = []
-    n = len(region.blocks)
-    aux = _WalkAux()
-    aux.otk = [None] * n
-    for i, block in enumerate(region.blocks):
+    for block in region.blocks:
         pc = block.pc
         ts = block.taken_succ
         fs = block.fall_succ
@@ -787,53 +538,47 @@ def _walk_table(region):
         branch = block.branch
         branches.append(branch)
         if branch is None:
-            bpcs.append(0)
-            kinds.append(_K_NONE)
-            steps.append((_K_NONE, pc, ni, fs, None))
+            steps.append((_K_NONE, pc, ni, fs, None, 0))
             continue
-        bpcs.append(branch.pc)
+        bpc = branch.pc
         model = branch.model
         tm = type(model)
         # Exact-type checks: a subclass could override next_outcome, so
         # only the leaf classes we replicate verbatim are batched.
         if tm is BiasedBranch or tm is RandomBranch:
-            maker = _make_biased_refill
+            outcomes = _biased_outcomes(model, ts, fs)
         elif tm is LoopBranch:
-            maker = _make_loop_refill
+            outcomes = _loop_outcomes(model, ts, fs)
         elif tm is PatternBranch:
-            maker = _make_pattern_refill
+            outcomes = _pattern_outcomes(model, ts, fs)
         elif tm is GlobalCorrelatedBranch:
-            kinds.append(_K_GLOBAL)
             mask = 0
             for off in model.offsets:
                 mask |= 1 << off
-            npay = None
-            if model.noise:
-                notk: list = []
-                npay = [0, notk, None, _make_noise_refill(notk, model)]
-                pays.append(npay)
-            steps.append(
-                (_K_GLOBAL, pc, ni, fs, (mask, int(model.invert), npay, ts, fs))
-            )
+            noise = _noise_flips(model).__next__ if model.noise else None
+            pay = (mask, int(model.invert), noise, ts, fs)
+            steps.append((_K_GLOBAL, pc, ni, fs, pay, bpc))
             continue
         else:
-            kinds.append(_K_GENERIC)
-            steps.append((_K_GENERIC, pc, ni, fs, (model, ts, fs)))
+            steps.append((_K_GENERIC, pc, ni, fs, (model, ts, fs), bpc))
             continue
-        kinds.append(_K_BUFFERED)
-        otk: list = []
-        osucc: list = []
-        aux.otk[i] = otk
-        pay = [0, otk, osucc, maker(otk, osucc, model, ts, fs)]
-        pays.append(pay)
-        steps.append((_K_BUFFERED, pc, ni, fs, pay))
-    aux.kinds_arr = np.array(kinds, dtype=np.int64)
-    aux.bpcs_arr = np.array(bpcs, dtype=np.int64)
-    aux.steps = steps
-    aux.pays = pays
-    table = (branches, aux)
+        steps.append((_K_BUFFERED, pc, ni, fs, outcomes.__next__, bpc))
+    table = (branches, steps)
     region._pass_a_columns = table
     return table
+
+
+def _uniform_lines(hierarchy) -> bool:
+    """Whether every cache level shares the L1's line size.
+
+    Every :class:`DesignPoint` builds its hierarchy from one ``line_size``;
+    the burst loop relies on it to probe each level with the L1's line
+    index.
+    """
+    shift = hierarchy.l1._line_shift
+    return all(
+        c._line_shift == shift for c in (hierarchy.mlc, hierarchy.llc) if c is not None
+    )
 
 
 class VectorizedBackend:
@@ -848,9 +593,10 @@ class VectorizedBackend:
         max_instructions: int,
         probes: Sequence = (),
     ) -> float:
-        if probes:
-            # Probe callbacks need the per-block BlockExec view; only the
-            # reference loop provides it.
+        if probes or not _uniform_lines(simulator.core.hierarchy):
+            # Probe callbacks need the per-block BlockExec view, and mixed
+            # line sizes need per-level line indices; the reference loop
+            # provides both.
             from repro.sim.backends import get_backend
 
             return get_backend("reference").run(simulator, max_instructions, probes)
@@ -867,7 +613,9 @@ def run_vectorized(simulator: "HybridSimulator", max_instructions: int) -> float
     Drop-in replacement for the probe-free body of
     :meth:`HybridSimulator.run` — on return every component counter, the
     BT walk state, and the workload's address-stream cursors hold exactly
-    the values the reference loop would have left.
+    the values the reference loop would have left.  Every cache level must
+    share the L1's line size (:func:`_uniform_lines`), so one line index
+    probes them all.
     """
     workload = simulator.workload
     core = simulator.core
@@ -899,11 +647,9 @@ def run_vectorized(simulator: "HybridSimulator", max_instructions: int) -> float
     memory_cost = memory_latency * stall_factor
     prefetched_cost = prefetched_latency * stall_factor
     mlc_sets = mlc._sets
-    mlc_shift = mlc._line_shift
     mlc_mask = mlc._set_mask
     if llc is not None:
         llc_sets = llc._sets
-        llc_shift = llc._line_shift
         llc_mask = llc._set_mask
     if prefetcher is not None:
         pf_streams = prefetcher._streams
@@ -913,6 +659,26 @@ def run_vectorized(simulator: "HybridSimulator", max_instructions: int) -> float
     vpu_emul_extra = vpu.emulation_factor - 1
     bpu = core.bpu
     bpu_predict = core._bpu_predict_and_update
+    # Predictor tables for the walk's inlined updates.  Gating flushes them
+    # in place (lists survive), so the references hold for the whole run.
+    bp_local = bpu.large.local
+    bp_lhist = bp_local._histories
+    bp_lctrs = bp_local._counters
+    bp_lhist_mask = bp_local._hist_mask
+    bp_lpat_mask = bp_local._pat_mask
+    bp_lbits_mask = bp_local._history_bits_mask
+    bp_gshare = bpu.large.global_pred
+    bp_gctrs = bp_gshare._counters
+    bp_gmask = bp_gshare._mask
+    bp_ghr_mask = bp_gshare._ghr_mask
+    bp_chooser = bpu.large._chooser
+    bp_chooser_mask = bpu.large._chooser_mask
+    bp_small = bpu.small
+    bp_shist = bp_small._histories
+    bp_sctrs = bp_small._counters
+    bp_shist_mask = bp_small._hist_mask
+    bp_spat_mask = bp_small._pat_mask
+    bp_sbits_mask = bp_small._history_bits_mask
     issue_cpi = core._issue_cpi
     interp_cpi = design.interpreter_cpi
     mispredict_penalty = design.mispredict_penalty
@@ -980,7 +746,7 @@ def run_vectorized(simulator: "HybridSimulator", max_instructions: int) -> float
             # Max lines one MLC set can receive from a span_p-byte range:
             # a run of R consecutive lines covers each set <= ceil(R/sets)
             # times (line straddles add at most one).
-            lines_p = ((span_p + line_sz - 1) >> mlc_shift) + 1
+            lines_p = ((span_p + line_sz - 1) >> line_shift) + 1
             mlc_occ += -(-lines_p // n_mlc_sets)
     spans.sort()
     bases_disjoint = all(b % line_sz == 0 for b, _ in spans) and all(
@@ -1007,27 +773,51 @@ def run_vectorized(simulator: "HybridSimulator", max_instructions: int) -> float
     burst_blocks = _BURST_BLOCKS
 
     # Hoisted BT walk state (synced back around every bt.on_block call).
-    # Invariant: ``cur_pcs`` is ``()`` whenever ``cur_trans`` is None, so
-    # the steering check is a bare index+compare (IndexError = miss).
+    # ``cur_pcs`` is the current translation's block-pc tuple plus an end
+    # marker of -1, which no block pc equals, and ``(-1,)`` whenever
+    # ``cur_trans`` is None: the steering check is a bare index+compare
+    # that never runs off the tuple (a raised IndexError at every trace
+    # end cost more than the check itself).
     cur_trans = bt._current
-    cur_pcs: tuple = ()
+    cur_pcs: tuple = (-1,)
     cur_pos = 0
     if cur_trans is not None:  # pragma: no cover - fresh simulators start cold
-        cur_pcs = cur_trans.block_pcs
+        cur_pcs = cur_trans.block_pcs + (-1,)
         cur_pos = bt._pos
 
-    # Per-run steering memo: head pc -> (translation, block_pcs, tid,
-    # n_instr).  RegionCache never evicts and only inserts previously
+    # Per-run steering memo: head pc -> (translation, block_pcs + (-1,),
+    # tid, n_instr).  RegionCache never evicts and only inserts previously
     # missing pcs, so a memo hit is always current; it replaces a dict
     # probe plus three attribute loads (``tid`` is a computed property)
     # on every region entry.
     rc_memo: dict = {}
     rc_memo_get = rc_memo.get
 
-    # Global-correlated / generic outcomes in walk order, consumed by the
-    # flush's taken-bit gather (buffered kinds re-read their own buffers).
-    g_takens: list = []
-    g_takens_append = g_takens.append
+    # The walk resolves every recorded branch through the active predictor
+    # (the reference ``BranchUnit.predict_and_update``, inlined).  Its mode
+    # is constant within a burst, because only a non-idle boundary's policy
+    # or measurement changes it and that flushes first: 0 = the large side
+    # predicts and the small side trains, 1 = large side gated (the small
+    # side alone), 2 = ``force_small`` (through the unit's own method).
+    # The GHR and the lookup, mispredict and BTB tallies live in locals;
+    # ``_flush`` writes them back and the walk re-reads them after every
+    # non-idle boundary.  ``misp_pos``/``redir_pos`` hold the positions in
+    # ``rec`` of mispredicted and BTB-redirected blocks, whose penalties
+    # pass B adds after the block's memory stalls (reference order).
+    def _bpu_view():
+        if not bpu.large_on:
+            return 1, bpu.small_btb
+        return (2 if bpu.force_small else 0), bpu.large_btb
+
+    bp_mode, bp_btb = _bpu_view()
+    bp_btb_entries = bp_btb._entries
+    bp_btb_cap = bp_btb.n_entries
+    bp_ghr = bp_gshare.ghr
+    bp_btb_hits = bp_btb_misses = 0
+    misp_pos: list = []
+    misp_append = misp_pos.append
+    redir_pos: list = []
+    redir_append = redir_pos.append
 
     # Pass timing (pass A = total - pass B - scalar, settled in `finally`).
     pb_time = 0.0
@@ -1064,15 +854,12 @@ def run_vectorized(simulator: "HybridSimulator", max_instructions: int) -> float
                 fstate.phase_resets += 1
 
                 # Segment-dispatch eligibility: deterministic stream whose
-                # line index advances monotonically between wraps, with all
-                # levels sharing the L1's line indexing and this phase's
-                # slot line-disjoint from every other phase's.
+                # line index advances monotonically between wraps, with this
+                # phase's slot line-disjoint from every other phase's.
                 seg_ok = (
                     not plan_rng
                     and bases_disjoint
                     and stride > 0
-                    and mlc_shift == line_shift
-                    and (llc is None or llc_shift == line_shift)
                     and sbase % line_sz == 0
                 )
                 warm_base = False
@@ -1096,12 +883,7 @@ def run_vectorized(simulator: "HybridSimulator", max_instructions: int) -> float
                 region_blocks = region.blocks
                 region_len = len(region_blocks)
                 attr_ni, attr_nm, attr_nl, attr_nv = region.attr_arrays()
-                col_branch, aux = _walk_table(region)
-                steps = aux.steps
-                pays = aux.pays
-                col_otk = aux.otk
-                kinds_arr = aux.kinds_arr
-                bpcs_arr = aux.bpcs_arr
+                col_branch, steps = _walk_table(region)
 
                 # Burst record.  ``rec`` holds block indices; side lists
                 # carry the rare irregularities (interpreted blocks,
@@ -1125,6 +907,7 @@ def run_vectorized(simulator: "HybridSimulator", max_instructions: int) -> float
                     """
                     nonlocal cycles, cursor, c0, pb_time, mlc_ways_min
                     nonlocal b_translated, b_entries, b_overflow, b_rc
+                    nonlocal bp_btb_hits, bp_btb_misses
                     t0 = perf_counter()
                     # Settle long queues now, while no burst array is live.
                     for f in fills:
@@ -1134,7 +917,6 @@ def run_vectorized(simulator: "HybridSimulator", max_instructions: int) -> float
                     n_instr_sum = micro_sum = nv_sum = 0
                     N = 0
                     m = 0
-                    b_misp = b_redir = 0
                     if n:
                         bidx = np.array(rec, dtype=np.int64)
                         # Batched branch.executions: one increment per
@@ -1143,7 +925,9 @@ def run_vectorized(simulator: "HybridSimulator", max_instructions: int) -> float
                         for bi in np.flatnonzero(counts).tolist():
                             br = col_branch[bi]
                             if br is not None:
-                                br.executions += int(counts[bi])
+                                c = int(counts[bi])
+                                br.executions += c
+                                m += c
                         ni = attr_ni[bidx]
                         nm = attr_nm[bidx]
                         nv = attr_nv[bidx]
@@ -1207,17 +991,17 @@ def run_vectorized(simulator: "HybridSimulator", max_instructions: int) -> float
                                 )
                             )
                             w_any = np.logical_or.reduceat(wr, heads)
-                            vlens = np.diff(np.append(heads, N))
                             hl_np = lines[heads]
                             hw_np = wr[heads]
                             hl = hl_np.tolist()
                             vo = owner[heads].tolist()
                             Hn = len(hl)
-                            hits = misses = wb = 0
+                            # L1 hits are the flush's accesses minus its
+                            # misses; MLC and LLC accesses are all heads.
+                            misses = wb = 0
                             mlc_hits = mlc_misses = mlc_wb = 0
                             llc_hits = llc_misses = llc_wb = 0
-                            lv_mlc = lv_llc = lv_mem = pf_covered = 0
-                            pf_hits = pf_misses = 0
+                            pf_hits = pf_misses = pf_covered = 0
                             mlc_ways = mlc.active_ways
                             if mlc_ways < mlc_ways_min:
                                 mlc_ways_min = mlc_ways
@@ -1264,11 +1048,9 @@ def run_vectorized(simulator: "HybridSimulator", max_instructions: int) -> float
                                     # queued L1 fill the hit is a dirty-bit
                                     # OR on the queue; otherwise it takes
                                     # the exact path (head hit).
-                                    if l1_fills.touch_last(
+                                    if not l1_fills.touch_last(
                                         hl[0], bool(w_any[0])
                                     ):
-                                        hits += int(vlens[0])
-                                    else:
                                         _emit(0, 0, 1)
                                     sa0 = 1
                                 for si in range(len(bounds) - 1):
@@ -1306,7 +1088,6 @@ def run_vectorized(simulator: "HybridSimulator", max_instructions: int) -> float
                                 Hr = rb - ra
                                 if cls == 2:
                                     misses += Hr
-                                    hits += int(vlens[ra:rb].sum()) - Hr
                                     ln_r = hl_np[ra:rb]
                                     hw_r = hw_np[ra:rb]
                                     l1_fills.add(ln_r, w_any[ra:rb])
@@ -1315,13 +1096,11 @@ def run_vectorized(simulator: "HybridSimulator", max_instructions: int) -> float
                                     if llc is not None:
                                         llc_misses += Hr
                                         llc_fills.add(ln_r, hw_r)
-                                    lv_mem += Hr
                                     cost_hit = prefetched_cost
                                     cost_miss = memory_cost
                                     track_cov = True
                                 elif cls == 1:
                                     misses += Hr
-                                    hits += int(vlens[ra:rb].sum()) - Hr
                                     l1_fills.add(hl_np[ra:rb], w_any[ra:rb])
                                     mlc_fills.settle()
                                     _bulk_rehit(
@@ -1331,7 +1110,6 @@ def run_vectorized(simulator: "HybridSimulator", max_instructions: int) -> float
                                         hw_np[ra:rb],
                                     )
                                     mlc_hits += Hr
-                                    lv_mlc += Hr
                                     # An MLC hit costs mlc_cost whether or
                                     # not the prefetcher matched; the scan
                                     # below only keeps its stream state
@@ -1340,13 +1118,15 @@ def run_vectorized(simulator: "HybridSimulator", max_instructions: int) -> float
                                     track_cov = False
                                 else:
                                     # The per-head walk reads every level.
+                                    # Every level shares the L1's line
+                                    # index, and a set never holds more
+                                    # than its ways, so a fill evicts at
+                                    # most one line.
                                     _settle()
-                                    for ln, a, hwk, wak, vn, vk in zip(
+                                    for ln, hwk, wak, vk in zip(
                                         hl[ra:rb],
-                                        addr[heads[ra:rb]].tolist(),
                                         hw_np[ra:rb].tolist(),
                                         w_any[ra:rb].tolist(),
-                                        vlens[ra:rb].tolist(),
                                         vo[ra:rb],
                                     ):
                                         cache_set = l1_sets[ln & set_mask]
@@ -1355,7 +1135,6 @@ def run_vectorized(simulator: "HybridSimulator", max_instructions: int) -> float
                                             # Head hit: the whole visit
                                             # hits; the dirty bit ends
                                             # old | any-write.
-                                            hits += vn
                                             cache_set[ln] = dirty or wak
                                             continue
                                         # Head miss: real fill + eviction,
@@ -1363,30 +1142,29 @@ def run_vectorized(simulator: "HybridSimulator", max_instructions: int) -> float
                                         # descent; tails hit the line the
                                         # head made MRU.
                                         misses += 1
-                                        hits += vn - 1
                                         cache_set[ln] = wak
-                                        while len(cache_set) > l1_ways:
+                                        if len(cache_set) > l1_ways:
                                             if cache_set.pop(
                                                 next(iter(cache_set))
                                             ):
                                                 wb += 1
-                                        # Prefetcher scan (addr >>
-                                        # line_shift == ln: the hierarchy
-                                        # shares the L1's line shift).
                                         prefetched = False
                                         if prefetcher is not None:
+                                            # The first stream whose head is
+                                            # within the window below ln is
+                                            # also the first holding that
+                                            # head, so ``index`` finds it.
                                             pf_clock += 1
-                                            i = 0
+                                            lo = ln - pf_window
                                             for head in pf_streams:
-                                                delta = ln - head
-                                                if 0 <= delta <= pf_window:
-                                                    if delta:
+                                                if lo <= head <= ln:
+                                                    i = pf_streams.index(head)
+                                                    if head != ln:
                                                         pf_streams[i] = ln
                                                     pf_stamps[i] = pf_clock
                                                     pf_hits += 1
                                                     prefetched = True
                                                     break
-                                                i += 1
                                             else:
                                                 pf_misses += 1
                                                 lru = pf_stamps.index(
@@ -1394,56 +1172,39 @@ def run_vectorized(simulator: "HybridSimulator", max_instructions: int) -> float
                                                 )
                                                 pf_streams[lru] = ln
                                                 pf_stamps[lru] = pf_clock
-                                        mln = a >> mlc_shift
-                                        mset = mlc_sets[mln & mlc_mask]
-                                        mdirty = mset.pop(mln, _MISSING)
+                                        mset = mlc_sets[ln & mlc_mask]
+                                        mdirty = mset.pop(ln, _MISSING)
                                         if mdirty is not _MISSING:
                                             mlc_hits += 1
-                                            lv_mlc += 1
-                                            mset[mln] = mdirty or hwk
-                                            cost = mlc_cost
-                                        else:
-                                            mlc_misses += 1
-                                            mset[mln] = hwk
-                                            while len(mset) > mlc_ways:
-                                                if mset.pop(next(iter(mset))):
-                                                    mlc_wb += 1
-                                            if llc is not None:
-                                                lln = a >> llc_shift
-                                                lset = llc_sets[lln & llc_mask]
-                                                ldirty = lset.pop(
-                                                    lln, _MISSING
-                                                )
-                                                if ldirty is not _MISSING:
-                                                    llc_hits += 1
-                                                    lv_llc += 1
-                                                    lset[lln] = ldirty or hwk
-                                                    if prefetched:
-                                                        pf_covered += 1
-                                                        cost = prefetched_cost
-                                                    else:
-                                                        cost = llc_cost
-                                                else:
-                                                    llc_misses += 1
-                                                    lset[lln] = hwk
-                                                    while len(lset) > llc_ways:
-                                                        if lset.pop(
-                                                            next(iter(lset))
-                                                        ):
-                                                            llc_wb += 1
-                                                    lv_mem += 1
-                                                    if prefetched:
-                                                        pf_covered += 1
-                                                        cost = prefetched_cost
-                                                    else:
-                                                        cost = memory_cost
+                                            mset[ln] = mdirty or hwk
+                                            bc[vk] += mlc_cost
+                                            continue
+                                        mlc_misses += 1
+                                        mset[ln] = hwk
+                                        if len(mset) > mlc_ways:
+                                            if mset.pop(next(iter(mset))):
+                                                mlc_wb += 1
+                                        if llc is not None:
+                                            lset = llc_sets[ln & llc_mask]
+                                            ldirty = lset.pop(ln, _MISSING)
+                                            if ldirty is not _MISSING:
+                                                llc_hits += 1
+                                                lset[ln] = ldirty or hwk
+                                                cost = llc_cost
                                             else:
-                                                lv_mem += 1
-                                                if prefetched:
-                                                    pf_covered += 1
-                                                    cost = prefetched_cost
-                                                else:
-                                                    cost = memory_cost
+                                                llc_misses += 1
+                                                lset[ln] = hwk
+                                                if len(lset) > llc_ways:
+                                                    if lset.pop(
+                                                        next(iter(lset))
+                                                    ):
+                                                        llc_wb += 1
+                                                cost = memory_cost
+                                        else:
+                                            cost = memory_cost
+                                        if prefetched:
+                                            pf_covered += 1
+                                            cost = prefetched_cost
                                         if cost:
                                             bc[vk] += cost
                                     continue
@@ -1566,66 +1327,30 @@ def run_vectorized(simulator: "HybridSimulator", max_instructions: int) -> float
                                                 c_ = cost_miss
                                             if c_:
                                                 bc[vo[k]] += c_
+                            hits = N - misses
                             l1.charge_bulk(hits, misses, wb)
                             level_counts[0] += hits
                             mlc.charge_bulk(mlc_hits, mlc_misses, mlc_wb)
-                            level_counts[1] += lv_mlc
+                            level_counts[1] += mlc_hits
                             if llc is not None:
                                 llc.charge_bulk(llc_hits, llc_misses, llc_wb)
-                                level_counts[2] += lv_llc
-                            level_counts[3] += lv_mem
+                                level_counts[2] += llc_hits
+                                level_counts[3] += llc_misses
+                            else:
+                                level_counts[3] += mlc_misses
                             hier.prefetch_covered += pf_covered
                             if prefetcher is not None:
                                 prefetcher._clock = pf_clock
                                 prefetcher.hits += pf_hits
                                 prefetcher.misses += pf_misses
 
-                        # Branch batch: gather taken bits (buffered blocks
-                        # re-read their consumed prefix; history-coupled
-                        # kinds drain g_takens), run the predictor kernels,
-                        # add penalties after each block's memory stalls —
-                        # the reference per-block assembly order.
+                        # Branch penalties land after each block's memory
+                        # stalls: the reference per-block assembly order.
                         bc_arr = np.array(bc, dtype=np.float64)
-                        kinds_g = kinds_arr[bidx]
-                        br_pos = np.flatnonzero(kinds_g)
-                        m = len(br_pos)
-                        if m:
-                            bb = bidx[br_pos]
-                            kb = kinds_g[br_pos]
-                            tk = np.empty(m, dtype=np.int64)
-                            mask_g = kb >= _K_GLOBAL
-                            n_g = int(mask_g.sum())
-                            if n_g:
-                                tk[mask_g] = np.array(
-                                    g_takens[:n_g], dtype=np.int64
-                                )
-                            if n_g < m:
-                                mask_b = ~mask_g
-                                b1 = bb[mask_b]
-                                order1 = np.argsort(b1, kind="stable")
-                                sb1 = b1[order1]
-                                uq, su, cu = np.unique(
-                                    sb1, return_index=True, return_counts=True
-                                )
-                                vals = np.empty(len(b1), dtype=np.int64)
-                                for u, s, c in zip(
-                                    uq.tolist(), su.tolist(), cu.tolist()
-                                ):
-                                    vals[s : s + c] = col_otk[u][:c]
-                                tk1 = np.empty(len(b1), dtype=np.int64)
-                                tk1[order1] = vals
-                                tk[mask_b] = tk1
-                            keys = bpcs_arr[bb] >> 2
-                            misp, redirect = _bpu_batch(bpu, keys, bpcs_arr[bb], tk)
-                            b_misp = int(misp.sum())
-                            redir_only = redirect & ~misp
-                            b_redir = int(redir_only.sum())
-                            mp = br_pos[misp]
-                            if len(mp):
-                                bc_arr[mp] += mispredict_penalty
-                            rp = br_pos[redir_only]
-                            if len(rp):
-                                bc_arr[rp] += btb_redirect_penalty
+                        if misp_pos:
+                            bc_arr[misp_pos] += mispredict_penalty
+                        if redir_pos:
+                            bc_arr[redir_pos] += btb_redirect_penalty
 
                         # Exact left-to-right cycle fold; translation
                         # charges (and TIMEOUT stalls before those) splice
@@ -1635,26 +1360,25 @@ def run_vectorized(simulator: "HybridSimulator", max_instructions: int) -> float
                         )
                         fstate.bursts_recorded += 1
                         fstate.blocks_vectorized += n
-                    # Compact consumed outcome prefixes (including a
-                    # window-trigger consumption not present in rec — its
-                    # taken bit lives in the walk's local).
-                    for pay in pays:
-                        p = pay[0]
-                        if p:
-                            del pay[1][:p]
-                            osu = pay[2]
-                            if osu is not None:
-                                del osu[:p]
-                            pay[0] = 0
-                    if g_takens:
-                        del g_takens[:]
+                    b_misp = len(misp_pos)
+                    if bp_mode != 2:
+                        # Write the walk's predictor tallies back (under
+                        # force_small the unit's own method kept them).
+                        bpu.lookups += m
+                        bpu.mispredicts += b_misp
+                        bp_btb.hits += bp_btb_hits
+                        bp_btb.misses += bp_btb_misses
+                        bpu.btb_misses += bp_btb_misses
+                        bp_btb_hits = bp_btb_misses = 0
+                        if not bp_mode:
+                            bp_gshare.ghr = bp_ghr
                     counters.add_batch(
                         instructions=n_instr_sum,
                         micro_ops=micro_sum,
                         simd_instructions=nv_sum,
                         branches=m,
                         mispredicts=b_misp,
-                        btb_redirects=b_redir,
+                        btb_redirects=len(redir_pos),
                         memory_ops=N,
                     )
                     bt.translated_blocks += b_translated
@@ -1667,6 +1391,8 @@ def run_vectorized(simulator: "HybridSimulator", max_instructions: int) -> float
                         rc_stats.hits += b_rc
                     del rec[:]
                     del interp_pos[:]
+                    del misp_pos[:]
+                    del redir_pos[:]
                     del trans_list[:]
                     b_translated = b_entries = b_overflow = b_rc = 0
                     c0 = cursor
@@ -1755,29 +1481,17 @@ def run_vectorized(simulator: "HybridSimulator", max_instructions: int) -> float
 
                 idx = region.entry
                 for _ in repeat(None, n_blocks):
-                    kind, pc, ni_b, succ, pay = steps[idx]
+                    kind, pc, ni_b, succ, pay, bpc = steps[idx]
                     if kind == 1:
-                        p = pay[0]
-                        buf = pay[1]
-                        if p == len(buf):
-                            pay[3]()
-                        taken = buf[p]
-                        pay[0] = p + 1
-                        succ = pay[2][p]
+                        taken, succ = pay()
                         hbits = ((hbits << 1) | taken) & history_mask
                     elif kind == 0:
                         taken = 0
                     elif kind == 2:
-                        gm, gi, npay, ts2, fs2 = pay
+                        gm, gi, noise, ts2, fs2 = pay
                         taken = ((hbits & gm).bit_count() & 1) ^ gi
-                        if npay is not None:
-                            p = npay[0]
-                            buf = npay[1]
-                            if p == len(buf):
-                                npay[3]()
-                            taken ^= buf[p]
-                            npay[0] = p + 1
-                        g_takens_append(taken)
+                        if noise is not None:
+                            taken ^= noise()
                         hbits = ((hbits << 1) | taken) & history_mask
                         succ = ts2 if taken else fs2
                     else:
@@ -1785,15 +1499,10 @@ def run_vectorized(simulator: "HybridSimulator", max_instructions: int) -> float
                         history.bits = hbits
                         taken = model.next_outcome(history)
                         hbits = ((history.bits << 1) | taken) & history_mask
-                        g_takens_append(int(taken))
                         succ = ts2 if taken else fs2
 
                     # ---- BT steering (inlined continuation walk) ----
-                    try:
-                        steer_hit = cur_pcs[cur_pos] == pc
-                    except IndexError:
-                        steer_hit = False
-                    if steer_hit:
+                    if cur_pcs[cur_pos] == pc:
                         cur_pos += 1
                         b_translated += 1
                     else:
@@ -1805,7 +1514,7 @@ def run_vectorized(simulator: "HybridSimulator", max_instructions: int) -> float
                             if entered is not None:
                                 mem = (
                                     entered,
-                                    entered.block_pcs,
+                                    entered.block_pcs + (-1,),
                                     entered.tid,
                                     entered.n_instr,
                                 )
@@ -1898,16 +1607,12 @@ def run_vectorized(simulator: "HybridSimulator", max_instructions: int) -> float
                                             # the trigger runs scalar.
                                             col_branch[idx].executions += 1
                                         _exec_block_scalar(block, taken)
-                                        if g_takens:
-                                            del g_takens[:]
-                                        for bpay in pays:
-                                            bp = bpay[0]
-                                            if bp:
-                                                del bpay[1][:bp]
-                                                osu = bpay[2]
-                                                if osu is not None:
-                                                    del osu[:bp]
-                                                bpay[0] = 0
+                                        # The policy and the trigger may
+                                        # have moved the predictor.
+                                        bp_mode, bp_btb = _bpu_view()
+                                        bp_btb_entries = bp_btb._entries
+                                        bp_btb_cap = bp_btb.n_entries
+                                        bp_ghr = bp_gshare.ghr
                                         c0 = cursor
                                         vpu_gated = vpu.gated_on
                                         sc_time += perf_counter() - t_sc
@@ -1933,12 +1638,93 @@ def run_vectorized(simulator: "HybridSimulator", max_instructions: int) -> float
                                 trans_list.append((len(rec), bt_cycles))
                             cur_trans = bt._current
                             if cur_trans is not None:
-                                cur_pcs = cur_trans.block_pcs
+                                cur_pcs = cur_trans.block_pcs + (-1,)
                                 cur_pos = bt._pos
                             else:
-                                cur_pcs = ()
+                                cur_pcs = (-1,)
+                                cur_pos = 0
                             if exec_mode is _INTERPRETED:
                                 interp_pos.append(len(rec))
+
+                    # ---- branch resolution (predict_and_update inlined:
+                    # identical table reads and writes in identical order)
+                    if kind:
+                        if bp_mode == 2:
+                            mispredicted, redirect = bpu_predict(bpc, taken)
+                            if mispredicted:
+                                misp_append(len(rec))
+                            elif redirect:
+                                redir_append(len(rec))
+                        else:
+                            key = bpc >> 2
+                            if not bp_mode:
+                                # The large tournament predicts.
+                                hidx = key & bp_lhist_mask
+                                lhistory = bp_lhist[hidx]
+                                cidx = lhistory & bp_lpat_mask
+                                ctr = bp_lctrs[cidx]
+                                if taken:
+                                    if ctr < 3:
+                                        bp_lctrs[cidx] = ctr + 1
+                                elif ctr > 0:
+                                    bp_lctrs[cidx] = ctr - 1
+                                bp_lhist[hidx] = (
+                                    (lhistory << 1) | taken
+                                ) & bp_lbits_mask
+                                local_pred = ctr >= 2
+                                gidx = (key ^ bp_ghr) & bp_gmask
+                                gctr = bp_gctrs[gidx]
+                                if taken:
+                                    if gctr < 3:
+                                        bp_gctrs[gidx] = gctr + 1
+                                elif gctr > 0:
+                                    bp_gctrs[gidx] = gctr - 1
+                                bp_ghr = ((bp_ghr << 1) | taken) & bp_ghr_mask
+                                global_pred = gctr >= 2
+                                if local_pred == global_pred:
+                                    prediction = local_pred
+                                else:
+                                    chidx = key & bp_chooser_mask
+                                    cctr = bp_chooser[chidx]
+                                    if global_pred == taken:
+                                        if cctr < 3:
+                                            bp_chooser[chidx] = cctr + 1
+                                    elif cctr > 0:
+                                        bp_chooser[chidx] = cctr - 1
+                                    prediction = (
+                                        global_pred if cctr >= 2 else local_pred
+                                    )
+                            # The small local predictor always trains, and
+                            # predicts while the large side is gated.
+                            shidx = key & bp_shist_mask
+                            shistory = bp_shist[shidx]
+                            scidx = shistory & bp_spat_mask
+                            sctr = bp_sctrs[scidx]
+                            if taken:
+                                if sctr < 3:
+                                    bp_sctrs[scidx] = sctr + 1
+                            elif sctr > 0:
+                                bp_sctrs[scidx] = sctr - 1
+                            bp_shist[shidx] = (
+                                (shistory << 1) | taken
+                            ) & bp_sbits_mask
+                            if bp_mode:
+                                prediction = sctr >= 2
+                            if prediction != taken:
+                                misp_append(len(rec))
+                            if taken:
+                                if bpc in bp_btb_entries:
+                                    bp_btb_entries.move_to_end(bpc)
+                                    bp_btb_entries[bpc] = 0
+                                    bp_btb_hits += 1
+                                else:
+                                    bp_btb_misses += 1
+                                    if len(bp_btb_entries) >= bp_btb_cap:
+                                        bp_btb_entries.popitem(last=False)
+                                    bp_btb_entries[bpc] = 0
+                                    if prediction:
+                                        # Predicted taken, target missing.
+                                        redir_append(len(rec))
 
                     rec_append(idx)
 

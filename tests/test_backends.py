@@ -33,6 +33,7 @@ from repro.sim.backends import (
 from repro.sim.backends.vectorized import _fold_cycles, _walk_table
 from repro.sim.engine import NON_KEY_FIELDS, SimJob
 from repro.sim.simulator import GatingMode, HybridSimulator
+from repro.uarch.branch.unit import BranchUnit
 from repro.uarch.cache.cache import SetAssocCache
 from repro.uarch.config import design_for_suite
 from repro.workloads.generator import MemoryBehavior, PhaseSpec, SyntheticWorkload
@@ -96,6 +97,9 @@ def _deep_state(simulator):
         "small_hist": list(bpu.small._histories),
         "small_ctr": list(bpu.small._counters),
         "btb": list(bpu.large_btb._entries),
+        "small_btb": list(bpu.small_btb._entries),
+        "btb_stats": [(b.hits, b.misses) for b in (bpu.large_btb, bpu.small_btb)],
+        "bpu_tallies": (bpu.lookups, bpu.mispredicts, bpu.btb_misses),
         "history_bits": simulator.workload.history.bits,
         "counters": core.counters.snapshot(),
         "vpu": (core.vpu.native_ops, core.vpu.emulated_ops),
@@ -338,10 +342,48 @@ def test_vectorized_idle_windows_extend_bursts():
 #: Burst caps small enough to cut every steady stretch at arbitrary blocks.
 _CUT_POINTS = [(7, 20_000), (64, 120_000)]
 
+#: ``_QUICK`` POWERCHOP runs that, by 120k, gate the large BPU off and on
+#: and flip ``force_small`` for the CDE's small-predictor window.
+_BPU_SWITCHING = ("hmmer", "msn")
+
+
+def _count_bpu_switches(monkeypatch):
+    """Count the BPU's gate-offs, gate-ons and ``force_small`` flips."""
+    counts = {"gate_off": 0, "gate_on": 0, "force_small": 0}
+    gate_off, gate_on = BranchUnit.gate_off, BranchUnit.gate_on
+
+    def counted_gate_off(self):
+        counts["gate_off"] += self.large_on
+        gate_off(self)
+
+    def counted_gate_on(self):
+        counts["gate_on"] += not self.large_on
+        gate_on(self)
+
+    # The value lives in the instance dict under its own name, so the
+    # attribute still reads after the property is removed.
+    def get_force_small(self):
+        return self.__dict__.get("force_small", False)
+
+    def set_force_small(self, value):
+        counts["force_small"] += value != get_force_small(self)
+        self.__dict__["force_small"] = value
+
+    monkeypatch.setattr(BranchUnit, "gate_off", counted_gate_off)
+    monkeypatch.setattr(BranchUnit, "gate_on", counted_gate_on)
+    monkeypatch.setattr(
+        BranchUnit, "force_small", property(get_force_small, set_force_small),
+        raising=False,
+    )
+    return counts
+
 
 def _assert_exact_at_cut_points(monkeypatch, name, mode, cap, budget, obs_level):
-    ref_sim, ref = _run(name, mode, "reference", max_instructions=budget,
-                        obs_level=obs_level)
+    """Returns the reference run's BPU switch counts."""
+    with pytest.MonkeyPatch.context() as mp:
+        switches = _count_bpu_switches(mp)
+        ref_sim, ref = _run(name, mode, "reference", max_instructions=budget,
+                            obs_level=obs_level)
     monkeypatch.setattr(vectorized, "_BURST_BLOCKS", cap, raising=False)
     sim, result = _run(name, mode, "vectorized", max_instructions=budget,
                        obs_level=obs_level)
@@ -350,16 +392,32 @@ def _assert_exact_at_cut_points(monkeypatch, name, mode, cap, budget, obs_level)
     assert state.bursts_recorded * cap >= state.blocks_vectorized  # cap held
     assert result.to_dict() == ref.to_dict()
     assert _deep_state(sim) == _deep_state(ref_sim)
+    return switches
 
 
 @pytest.mark.parametrize("cap, budget", _CUT_POINTS)
-@pytest.mark.parametrize("profile_name", ["bzip2", "milc", "lbm", "google"])
 @pytest.mark.parametrize(
-    "mode", [GatingMode.FULL, GatingMode.MINIMAL, GatingMode.POWERCHOP]
+    "mode, profile_name",
+    [
+        (mode, name)
+        for mode in (GatingMode.FULL, GatingMode.MINIMAL, GatingMode.POWERCHOP)
+        for name in ("bzip2", "milc", "lbm", "google")
+    ]
+    + [(GatingMode.POWERCHOP, name) for name in _BPU_SWITCHING],
 )
 def test_vectorized_exact_at_any_cut_point(monkeypatch, profile_name, mode, cap, budget):
-    """Pass B composes exactly however the burst record is cut."""
-    _assert_exact_at_cut_points(monkeypatch, profile_name, mode, cap, budget, "off")
+    """Pass B composes exactly however the burst record is cut.
+
+    The ``_BPU_SWITCHING`` runs also cut across every predictor mode the
+    walk resolves branches in.
+    """
+    switches = _assert_exact_at_cut_points(
+        monkeypatch, profile_name, mode, cap, budget, "off"
+    )
+    if profile_name in _BPU_SWITCHING and budget == 120_000:
+        assert switches["gate_off"] > 0, switches
+        assert switches["gate_on"] > 0, switches
+        assert switches["force_small"] > 0, switches
 
 
 @pytest.mark.slow
@@ -680,15 +738,35 @@ def test_vectorized_probe_runs_delegate_to_reference():
     assert sim.fastpath_state.bursts_recorded == 0  # reference loop ran
 
 
+def test_vectorized_mixed_line_sizes_delegate_to_reference():
+    """The burst loop probes every level with the L1's line index."""
+
+    def run(backend):
+        sim = HybridSimulator(
+            design_for_suite("spec"), _single_phase_workload(0.0),
+            GatingMode.FULL, backend=backend,
+        )
+        h = sim.core.hierarchy
+        h.llc = SetAssocCache(h.llc.size_kb, h.llc.assoc, 128, name="LLC")
+        return sim, sim.run(20_000)
+
+    ref_sim, ref = run("reference")
+    sim, result = run("vectorized")
+    assert result.to_dict() == ref.to_dict()
+    assert _deep_state(sim) == _deep_state(ref_sim)
+    assert sim.fastpath_state.bursts_recorded == 0  # reference loop ran
+
+
 def test_walk_table_is_memoized_per_region():
     wl = _single_phase_workload(0.0)
     region = wl.phases["only"].region
     table = _walk_table(region)
     assert _walk_table(region) is table
-    branches, aux = table
+    branches, steps = table
     assert branches == [block.branch for block in region.blocks]
-    assert [s[1] for s in aux.steps] == [block.pc for block in region.blocks]
-    assert [s[2] for s in aux.steps] == [block.n_instr for block in region.blocks]
+    assert [s[1] for s in steps] == [block.pc for block in region.blocks]
+    assert [s[2] for s in steps] == [block.n_instr for block in region.blocks]
+    assert [s[5] for s in steps] == [block.branch.pc for block in region.blocks]
 
 
 def test_attr_arrays_memoized_and_match_blocks():

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import random
 import tracemalloc
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -33,10 +34,10 @@ from repro.sim.backends.rngkit import (
     write_back,
 )
 from repro.sim.backends.vectorized import (
-    _make_biased_refill,
-    _make_loop_refill,
-    _make_pattern_refill,
-    _sat2_apply,
+    _biased_outcomes,
+    _loop_outcomes,
+    _noise_flips,
+    _pattern_outcomes,
 )
 from repro.workloads.generator import AddressStream, MemoryBehavior
 
@@ -220,19 +221,23 @@ def test_plan_stream_draws_memory_per_access(n):
 
 
 # ---------------------------------------------------------------------------
-# Closed-form outcome refills (pass A) at state boundaries
+# Closed-form outcome chunks (pass A) at state boundaries
 # ---------------------------------------------------------------------------
 
 _HIST = GlobalHistory()
 
+#: Two chunks: 64 values, then 128 drawn from mid-stream model state.
+_TWO_CHUNKS = 64 + 128
 
-def _drain_refill(maker, model, tsucc=7, fsucc=9):
-    otk: list = []
-    osucc: list = []
-    refill = maker(otk, osucc, model, tsucc, fsucc)
-    refill()
-    refill()  # second chunk starts from mid-stream model state
-    return otk, osucc
+
+def _two_chunks(outcomes):
+    return list(islice(outcomes, _TWO_CHUNKS))
+
+
+def _assert_outcomes(pairs, ref, tsucc=7, fsucc=9):
+    expect = [int(ref.next_outcome(_HIST)) for _ in range(_TWO_CHUNKS)]
+    assert [t for t, _ in pairs] == expect
+    assert [s for _, s in pairs] == [tsucc if t else fsucc for t in expect]
 
 
 @pytest.mark.parametrize("period", [2, 3, 5])
@@ -242,10 +247,9 @@ def test_loop_refill_matches_scalar_at_every_phase(period):
         model._count = start
         ref = LoopBranch(period)
         ref._count = start
-        otk, osucc = _drain_refill(_make_loop_refill, model)
-        expect = [int(ref.next_outcome(_HIST)) for _ in range(len(otk))]
-        assert otk == expect
-        assert osucc == [7 if t else 9 for t in expect]
+        _assert_outcomes(_two_chunks(_loop_outcomes(model, 7, 9)), ref)
+        # Exactly two chunks were drawn, so the counter sits where 192
+        # scalar calls leave it.
         assert model._count == ref._count
 
 
@@ -256,10 +260,7 @@ def test_pattern_refill_matches_scalar_at_every_phase():
         model._pos = start
         ref = PatternBranch(pattern)
         ref._pos = start
-        otk, osucc = _drain_refill(_make_pattern_refill, model)
-        expect = [int(ref.next_outcome(_HIST)) for _ in range(len(otk))]
-        assert otk == expect
-        assert osucc == [7 if t else 9 for t in expect]
+        _assert_outcomes(_two_chunks(_pattern_outcomes(model, 7, 9)), ref)
         assert model._pos == ref._pos
 
 
@@ -268,14 +269,29 @@ def test_biased_refill_matches_scalar_stream(monkeypatch):
     monkeypatch.setattr(rngkit, "_TRANSPLANT_AFTER", 100)
     model = BiasedBranch(0.31, seed=11)
     ref = BiasedBranch(0.31, seed=11)
-    otk, osucc = _drain_refill(_make_biased_refill, model)
-    expect = [int(ref.next_outcome(_HIST)) for _ in range(len(otk))]
-    assert otk == expect
-    assert osucc == [7 if t else 9 for t in expect]
+    _assert_outcomes(_two_chunks(_biased_outcomes(model, 7, 9)), ref)
     # No write-back: the model's own Random stopped at the transplant.
     at_transplant = BiasedBranch(0.31, seed=11)
     for _ in range(64):
         at_transplant.next_outcome(_HIST)
+    assert model._rng.getstate() == at_transplant._rng.getstate()
+
+
+def test_noise_flips_match_scalar_stream(monkeypatch):
+    """A GlobalCorrelated branch's noise stream, flip for flip."""
+    monkeypatch.setattr(rngkit, "_TRANSPLANT_AFTER", 100)
+    offsets = (0, 3, 15)
+    model = GlobalCorrelatedBranch(offsets=offsets, noise=0.3, seed=5)
+    ref = GlobalCorrelatedBranch(offsets=offsets, noise=0.3, seed=5)
+    flips = list(islice(_noise_flips(model), _TWO_CHUNKS))
+    # With an all-zero history the clean outcome is ``invert`` (False), so
+    # each scalar outcome is its noise flip.
+    hist = GlobalHistory(depth=16)
+    assert flips == [int(ref.next_outcome(hist)) for _ in range(_TWO_CHUNKS)]
+    assert 0 < sum(flips) < _TWO_CHUNKS
+    at_transplant = GlobalCorrelatedBranch(offsets=offsets, noise=0.3, seed=5)
+    for _ in range(64):
+        at_transplant.next_outcome(hist)
     assert model._rng.getstate() == at_transplant._rng.getstate()
 
 
@@ -293,25 +309,3 @@ def test_global_correlated_closed_form(invert):
         closed = bool((hist.bits & mask).bit_count() & 1) ^ invert
         assert model.next_outcome(hist) == closed
         hist.push(feed.random() < 0.5)
-
-
-# ---------------------------------------------------------------------------
-# Saturating-counter scan kernel
-# ---------------------------------------------------------------------------
-
-
-def test_sat2_apply_matches_scalar_reference():
-    rng = np.random.default_rng(7)
-    for n in (1, 2, 7, 100, 1000):
-        cells = rng.integers(0, 6, size=n)
-        tk = rng.integers(0, 2, size=n).astype(bool)
-        table_a = [int(x) for x in rng.integers(0, 4, size=6)]
-        table_b = list(table_a)
-        pre_ref = []
-        for c, t in zip(cells.tolist(), tk.tolist()):
-            x = table_b[c]
-            pre_ref.append(x)
-            table_b[c] = min(3, max(0, x + (1 if t else -1)))
-        pre = _sat2_apply(table_a, cells, tk)
-        assert pre.tolist() == pre_ref
-        assert table_a == table_b
