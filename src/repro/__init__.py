@@ -38,13 +38,11 @@ from repro.sim import (
     SimJob,
     SimulationResult,
     StaticHintsProbe,
-    SweepRunner,
     UnitActivityProbe,
     energy_reduction,
     leakage_reduction,
     power_reduction,
     run_job,
-    run_jobs,
     run_simulation,
     slowdown,
 )
@@ -74,9 +72,7 @@ __all__ = [
     "SimJob",
     "JobRecord",
     "ResultCache",
-    "SweepRunner",
     "run_job",
-    "run_jobs",
     "IPCSeriesProbe",
     "PhaseLogProbe",
     "StaticHintsProbe",

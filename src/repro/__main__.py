@@ -5,7 +5,7 @@ Commands:
 - ``list``        — list the 29 benchmark profiles and their suites.
 - ``run``         — simulate one benchmark under one gating mode.
 - ``compare``     — full-power vs PowerChop vs minimal on one benchmark.
-- ``sweep``       — run a benchmark x mode batch through the parallel engine.
+- ``sweep``       — run a benchmark x mode batch through the fabric scheduler.
 - ``designs``     — print the two Table I design points.
 - ``staticcheck`` — static-analysis report (CFG verification + dataflow
   summaries) over workload profiles; exits non-zero on errors (or, with
@@ -19,10 +19,11 @@ Commands:
   ``gc`` evicts least-recently-used cache entries down to a size budget.
 
 ``run``, ``compare`` and ``sweep`` accept ``--json`` for machine-readable
-output; ``sweep`` accepts ``--jobs N`` (default: ``REPRO_JOBS``) to fan the
-batch across a process pool, with results cached on disk (see
-``REPRO_CACHE_DIR``), and ``--fabric`` to route the batch through the
-fault-tolerant scheduler instead of the plain ``SweepRunner``.
+output.  ``sweep`` and ``fabric submit`` build the same batch and run it on
+:class:`repro.sim.fabric.FabricScheduler`: ``--jobs N`` (default:
+``REPRO_JOBS``) fans it across a process pool, results are cached on disk
+(see ``REPRO_CACHE_DIR``), and a job that raises is retried before it is
+reported failed.  Out-of-range numbers are usage errors (exit 2).
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import sys
 
 from repro.analysis.report import format_table
 from repro.sim.backends import DEFAULT_BACKEND, available_backends
-from repro.sim.engine import SimJob, SweepRunner, default_workers
+from repro.sim.engine import SimJob, default_workers
 from repro.sim.results import (
     energy_reduction,
     leakage_reduction,
@@ -50,12 +51,33 @@ from repro.workloads.suites import ALL_BENCHMARKS, get_profile
 STATICCHECK_JSON_SCHEMA = 1
 
 
+def _bounded(kind, low, strict=False):
+    """An argparse ``type`` reading ``kind`` values ``>= low`` (``> low`` if strict).
+
+    A value out of range (NaN included) is a usage error, exit 2.
+    """
+
+    def parse(text):
+        value = kind(text)
+        if not (value > low if strict else value >= low):
+            raise argparse.ArgumentTypeError(
+                f"must be {'>' if strict else '>='} {low}, got {text}"
+            )
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names the type in its errors
+    return parse
+
+
+_positive_int = _bounded(int, 1)
+
+
 def _add_run_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("benchmark", help="benchmark name (see `list`)")
     parser.add_argument(
         "-n",
         "--instructions",
-        type=int,
+        type=_positive_int,
         default=2_000_000,
         help="guest instructions to simulate (default 2M)",
     )
@@ -76,6 +98,48 @@ def _add_run_args(parser: argparse.ArgumentParser) -> None:
         choices=available_backends(),
         help=f"execution backend (default: {DEFAULT_BACKEND}); all backends "
         "are bit-identical, this only changes simulation speed",
+    )
+
+
+def _add_batch_args(parser: argparse.ArgumentParser) -> None:
+    """The batch flags ``sweep`` and ``fabric submit`` share (see :func:`_batch_jobs`)."""
+    parser.add_argument(
+        "benchmarks",
+        nargs="*",
+        help="benchmark names (default: all 29 profiles)",
+    )
+    parser.add_argument(
+        "-m",
+        "--modes",
+        default="full,powerchop",
+        help="comma-separated gating modes (default: full,powerchop)",
+    )
+    parser.add_argument(
+        "-n",
+        "--instructions",
+        type=_positive_int,
+        default=2_000_000,
+        help="guest instructions per job (default 2M)",
+    )
+    parser.add_argument(
+        "-d",
+        "--design",
+        default="",
+        help="design point: server | mobile (default: paper pairing)",
+    )
+    parser.add_argument(
+        "-j",
+        "--jobs",
+        type=_positive_int,
+        default=None,
+        help="process-pool workers (default: REPRO_JOBS, else 1)",
+    )
+    parser.add_argument(
+        "--backend",
+        default=None,
+        choices=available_backends(),
+        help=f"execution backend for every job (default: {DEFAULT_BACKEND}); "
+        "results and cache keys are backend-independent",
     )
 
 
@@ -171,13 +235,17 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def cmd_sweep(args) -> int:
+def _batch_jobs(args, command: str):
+    """The benchmark x mode batch that ``sweep`` and ``fabric submit`` run.
+
+    Returns ``(names, modes, jobs)``; ``command`` names the subcommand in
+    the error for an empty ``--modes``.
+    """
     modes = [GatingMode(mode.strip()) for mode in args.modes.split(",") if mode.strip()]
     if not modes:
-        raise SystemExit("sweep: --modes must name at least one gating mode")
+        raise SystemExit(f"{command}: --modes must name at least one gating mode")
     names = args.benchmarks or [p.name for p in ALL_BENCHMARKS]
     design = design_by_name(args.design) if args.design else None
-
     jobs = []
     for name in names:
         profile = get_profile(name)  # fail fast on unknown names
@@ -192,12 +260,14 @@ def cmd_sweep(args) -> int:
                     backend=args.backend,
                 )
             )
-    if args.fabric:
-        from repro.sim.fabric import FabricScheduler
+    return names, modes, jobs
 
-        records = FabricScheduler(workers=args.jobs).run(jobs)
-    else:
-        records = SweepRunner(workers=args.jobs).run(jobs)
+
+def cmd_sweep(args) -> int:
+    from repro.sim.fabric import FabricScheduler
+
+    names, modes, jobs = _batch_jobs(args, "sweep")
+    records = FabricScheduler(workers=args.jobs).run(jobs)
 
     by_key = {(job.benchmark, job.mode): record for job, record in zip(jobs, records)}
     if args.json:
@@ -260,34 +330,10 @@ def cmd_designs(_args) -> int:
     return 0
 
 
-def _fabric_jobs(args):
-    """Benchmark x mode SimJob batch shared by fabric submit."""
-    modes = [GatingMode(mode.strip()) for mode in args.modes.split(",") if mode.strip()]
-    if not modes:
-        raise SystemExit("fabric submit: --modes must name at least one gating mode")
-    names = args.benchmarks or [p.name for p in ALL_BENCHMARKS]
-    design = design_by_name(args.design) if args.design else None
-    jobs = []
-    for name in names:
-        profile = get_profile(name)  # fail fast on unknown names
-        job_design = design or design_for_suite(profile.suite)
-        for mode in modes:
-            jobs.append(
-                SimJob(
-                    benchmark=name,
-                    design=job_design,
-                    mode=mode,
-                    max_instructions=args.instructions,
-                    backend=args.backend,
-                )
-            )
-    return jobs
-
-
 def cmd_fabric_submit(args) -> int:
     from repro.sim.fabric import FabricScheduler, JobStatus, RetryPolicy
 
-    jobs = _fabric_jobs(args)
+    _names, _modes, jobs = _batch_jobs(args, "fabric submit")
     scheduler = FabricScheduler(
         workers=args.jobs,
         retry=RetryPolicy(max_attempts=args.retries, base_delay=args.backoff),
@@ -506,55 +552,11 @@ def main(argv=None) -> int:
     sweep_parser = sub.add_parser(
         "sweep", help="run a benchmark x mode batch through the engine"
     )
-    sweep_parser.add_argument(
-        "benchmarks",
-        nargs="*",
-        help="benchmark names (default: all 29 profiles)",
-    )
-    sweep_parser.add_argument(
-        "-m",
-        "--modes",
-        default="full,powerchop",
-        help="comma-separated gating modes (default: full,powerchop)",
-    )
-    sweep_parser.add_argument(
-        "-n",
-        "--instructions",
-        type=int,
-        default=2_000_000,
-        help="guest instructions per job (default 2M)",
-    )
-    sweep_parser.add_argument(
-        "-d",
-        "--design",
-        default="",
-        help="design point: server | mobile (default: paper pairing)",
-    )
-    sweep_parser.add_argument(
-        "-j",
-        "--jobs",
-        type=int,
-        default=None,
-        help="process-pool workers (default: REPRO_JOBS, else 1)",
-    )
+    _add_batch_args(sweep_parser)
     sweep_parser.add_argument(
         "--json",
         action="store_true",
         help="emit machine-readable JSON instead of the summary table",
-    )
-    sweep_parser.add_argument(
-        "--backend",
-        default=None,
-        choices=available_backends(),
-        help=f"execution backend for every job (default: {DEFAULT_BACKEND}); "
-        "results and cache keys are backend-independent",
-    )
-    sweep_parser.add_argument(
-        "--fabric",
-        action="store_true",
-        help="route the batch through the fault-tolerant fabric scheduler "
-        "(retries, crash isolation) instead of the plain SweepRunner; "
-        "results are bit-identical",
     )
     sweep_parser.set_defaults(func=cmd_sweep)
 
@@ -567,64 +569,28 @@ def main(argv=None) -> int:
     submit_parser = fabric_sub.add_parser(
         "submit", help="run a benchmark x mode batch with retries and timeouts"
     )
-    submit_parser.add_argument(
-        "benchmarks",
-        nargs="*",
-        help="benchmark names (default: all 29 profiles)",
-    )
-    submit_parser.add_argument(
-        "-m",
-        "--modes",
-        default="full,powerchop",
-        help="comma-separated gating modes (default: full,powerchop)",
-    )
-    submit_parser.add_argument(
-        "-n",
-        "--instructions",
-        type=int,
-        default=2_000_000,
-        help="guest instructions per job (default 2M)",
-    )
-    submit_parser.add_argument(
-        "-d",
-        "--design",
-        default="",
-        help="design point: server | mobile (default: paper pairing)",
-    )
-    submit_parser.add_argument(
-        "-j",
-        "--jobs",
-        type=int,
-        default=None,
-        help="process-pool workers (default: REPRO_JOBS, else 1)",
-    )
-    submit_parser.add_argument(
-        "--backend",
-        default=None,
-        choices=available_backends(),
-        help=f"execution backend for every job (default: {DEFAULT_BACKEND})",
-    )
+    _add_batch_args(submit_parser)
     submit_parser.add_argument(
         "--retries",
-        type=int,
+        type=_positive_int,
         default=3,
         help="max attempts per job including the first (default 3)",
     )
     submit_parser.add_argument(
         "--backoff",
-        type=float,
+        type=_bounded(float, 0),
         default=0.05,
         help="base retry backoff in seconds, doubled per attempt (default 0.05)",
     )
     submit_parser.add_argument(
         "--timeout",
-        type=float,
+        type=_bounded(float, 0, strict=True),
         default=None,
         help="per-job wall-clock timeout in seconds (default: none)",
     )
     submit_parser.add_argument(
         "--shard-size",
-        type=int,
+        type=_positive_int,
         default=32,
         help="jobs dispatched concurrently per shard (default 32; 1 "
         "fully serialises dispatch)",
@@ -652,7 +618,7 @@ def main(argv=None) -> int:
     )
     gc_parser.add_argument(
         "--budget",
-        type=int,
+        type=_bounded(int, 0),
         default=None,
         help="target size in bytes (default: REPRO_CACHE_BUDGET)",
     )
@@ -705,7 +671,7 @@ def main(argv=None) -> int:
     trace_parser.add_argument(
         "-n",
         "--instructions",
-        type=int,
+        type=_positive_int,
         default=2_000_000,
         help="guest instructions to simulate (default 2M)",
     )

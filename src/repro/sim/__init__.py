@@ -1,4 +1,4 @@
-"""Simulation harness: simulator, engine (jobs/cache/sweeps), probes, results."""
+"""Simulation harness: simulator, engine (jobs/cache), sweeps, probes, results."""
 
 from repro.sim.results import (
     SimulationResult,
@@ -12,9 +12,7 @@ from repro.sim.engine import (
     JobRecord,
     ResultCache,
     SimJob,
-    SweepRunner,
     run_job,
-    run_jobs,
 )
 from repro.sim.probes import (
     IPCSeriesProbe,
@@ -44,9 +42,7 @@ __all__ = [
     "SimJob",
     "JobRecord",
     "ResultCache",
-    "SweepRunner",
     "run_job",
-    "run_jobs",
     "ProbeSpec",
     "ProbeState",
     "IPCSeriesProbe",

@@ -1,4 +1,4 @@
-"""Unified simulation engine: declarative jobs, result caching, sweeps.
+"""Unified simulation engine: declarative jobs and result caching.
 
 This is the single way to describe, instrument, run and cache simulations:
 
@@ -14,11 +14,7 @@ This is the single way to describe, instrument, run and cache simulations:
   and :data:`RESULT_SEMANTICS_VERSION`;
 - :func:`run_analysis` — the same two layers for a deterministic workload
   analysis (a read-only walk such as a shard histogram): it runs once and
-  its JSON value is replayed afterwards;
-- :class:`SweepRunner` — run batches of jobs across a
-  ``ProcessPoolExecutor`` (worker count from ``REPRO_JOBS``; results come
-  back in job order regardless of completion order, bit-identical to the
-  serial path).
+  its JSON value is replayed afterwards.
 
 Environment knobs: ``REPRO_JOBS`` (default worker count, default 1),
 ``REPRO_CACHE_DIR`` (cache directory, default ``~/.cache/repro-powerchop``),
@@ -26,8 +22,9 @@ Environment knobs: ``REPRO_JOBS`` (default worker count, default 1),
 ``REPRO_CACHE_BUDGET`` (bytes; 0 or unset = unbounded) to cap the on-disk
 cache size with LRU eviction.
 
-The fault-tolerant service layer over this engine — retries, timeouts,
-crash isolation, progress streaming — lives in :mod:`repro.sim.fabric`.
+Batches of jobs run on :class:`repro.sim.fabric.FabricScheduler`, the
+service layer over this engine: cache dedup, a process pool, retries,
+timeouts, crash isolation and progress streaming.
 """
 
 from __future__ import annotations
@@ -35,12 +32,9 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import pickle
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.config import PowerChopConfig
 from repro.obs.tracer import OBS_LEVELS
@@ -59,13 +53,11 @@ __all__ = [
     "SimJob",
     "JobRecord",
     "ResultCache",
-    "SweepRunner",
     "execute_job",
     "failed_record",
     "register_schema_migration",
     "run_analysis",
     "run_job",
-    "run_jobs",
     "clear_memo",
     "memo_get",
     "memo_put",
@@ -293,10 +285,9 @@ class JobRecord:
 
     A record either succeeded (``result`` set, ``error`` empty) or failed
     (``result is None``, ``error`` holds the reason).  Failed records are
-    produced by the batch runners — :class:`SweepRunner` and
-    :class:`repro.sim.fabric.FabricScheduler` — so one bad job cannot
-    abort a batch; they are never memoised or persisted, so a transient
-    failure is retried on the next submission.
+    produced by the batch runner, :class:`repro.sim.fabric.FabricScheduler`,
+    so one bad job cannot abort a batch; they are never memoised or
+    persisted, so a transient failure is retried on the next submission.
     """
 
     job_key: str
@@ -692,7 +683,7 @@ def run_analysis(fn: Callable[..., Any], **params: Any) -> Any:
     return value
 
 
-# ------------------------------------------------------------------ sweep
+# ---------------------------------------------------------------- workers
 
 
 def default_workers() -> int:
@@ -704,145 +695,3 @@ def default_workers() -> int:
     if workers < 1:
         raise ValueError("REPRO_JOBS must be >= 1")
     return workers
-
-
-def _is_picklable(job: SimJob) -> bool:
-    try:
-        pickle.dumps(job)
-        return True
-    except Exception:
-        return False
-
-
-def _execute_isolated(items: List[Tuple[str, SimJob]]) -> Dict[str, JobRecord]:
-    """Re-run jobs one at a time in disposable single-worker pools.
-
-    Recovery path after a :class:`BrokenProcessPool`: the broken pool
-    cannot say *which* job killed the worker, so every job whose future it
-    poisoned comes through here.  Each job gets a fresh worker; a job that
-    crashes it again is the culprit and becomes a failed record, while the
-    innocent bystanders complete normally on the next pool.
-    """
-    out: Dict[str, JobRecord] = {}
-    index = 0
-    while index < len(items):
-        with ProcessPoolExecutor(max_workers=1) as pool:
-            while index < len(items):
-                key, job = items[index]
-                index += 1
-                try:
-                    out[key] = pool.submit(execute_job, job).result()
-                except BrokenProcessPool as exc:
-                    out[key] = failed_record(key, exc)
-                    break  # this pool is dead; next job gets a fresh one
-                except Exception as exc:
-                    out[key] = failed_record(key, exc)
-    return out
-
-
-class SweepRunner:
-    """Execute batches of :class:`SimJob` with caching and parallelism.
-
-    Results are returned in job order regardless of completion order, and
-    are bit-identical between the serial and process-pool paths (workload
-    generation is seeded, simulation is deterministic).  Duplicate jobs
-    within one batch execute once and share a record.  Jobs that cannot be
-    pickled (e.g. closure ``configure`` callbacks) fall back to in-process
-    execution automatically.
-
-    Failures are isolated per job: a job that raises, returns an
-    unpicklable result, or hard-crashes its worker yields a failed
-    :class:`JobRecord` (``result=None``, ``error`` set) while the rest of
-    the batch completes.  For retries, timeouts and progress streaming use
-    :class:`repro.sim.fabric.FabricScheduler` instead.
-    """
-
-    def __init__(
-        self,
-        workers: Optional[int] = None,
-        cache: Optional[ResultCache] = None,
-    ) -> None:
-        self.workers = default_workers() if workers is None else workers
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
-        self.cache = cache if cache is not None else ResultCache()
-
-    def run(self, jobs: Sequence[SimJob]) -> List[JobRecord]:
-        jobs = list(jobs)
-        records: List[Optional[JobRecord]] = [None] * len(jobs)
-
-        # Cache pass; collect unique missing keys in first-seen order.
-        pending: Dict[str, SimJob] = {}
-        slots: Dict[str, List[int]] = {}
-        for index, job in enumerate(jobs):
-            key = job.key()
-            memoised = _MEMO.get(key)
-            if memoised is not None:
-                records[index] = replace(memoised, from_cache=True)
-                continue
-            record = self.cache.get(key)
-            if record is not None:
-                _MEMO[key] = record
-                records[index] = record
-            else:
-                pending.setdefault(key, job)
-                slots.setdefault(key, []).append(index)
-
-        fresh: Dict[str, JobRecord] = {}
-        parallel = [
-            (key, job)
-            for key, job in pending.items()
-            if self.workers > 1 and _is_picklable(job)
-        ]
-        parallel_keys = {key for key, _job in parallel}
-        serial = [
-            (key, job) for key, job in pending.items() if key not in parallel_keys
-        ]
-
-        if len(parallel) > 1:
-            max_workers = min(self.workers, len(parallel))
-            broken: List[Tuple[str, SimJob]] = []
-            job_by_key = dict(parallel)
-            with ProcessPoolExecutor(max_workers=max_workers) as pool:
-                futures = {
-                    pool.submit(execute_job, job): key for key, job in parallel
-                }
-                for future in as_completed(futures):
-                    key = futures[future]
-                    try:
-                        fresh[key] = future.result()
-                    except BrokenProcessPool:
-                        # One worker died and poisoned every in-flight
-                        # future; the casualties are re-run in isolation
-                        # below so only the culprit job fails.
-                        broken.append((key, job_by_key[key]))
-                    except Exception as exc:
-                        fresh[key] = failed_record(key, exc)
-            if broken:
-                fresh.update(_execute_isolated(broken))
-        else:
-            serial = parallel + serial
-
-        for key, job in serial:
-            try:
-                fresh[key] = execute_job(job)
-            except Exception as exc:
-                fresh[key] = failed_record(key, exc)
-
-        for key, record in fresh.items():
-            if record.ok:
-                self.cache.put(key, record)
-                _MEMO[key] = record
-            for index in slots[key]:
-                records[index] = record
-
-        return records  # type: ignore[return-value]
-
-
-def run_jobs(
-    jobs: Sequence[SimJob],
-    workers: Optional[int] = None,
-    cache: Optional[ResultCache] = None,
-) -> List[JobRecord]:
-    """Convenience wrapper: one-shot :class:`SweepRunner` run."""
-    return SweepRunner(workers=workers, cache=cache).run(jobs)

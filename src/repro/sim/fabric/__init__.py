@@ -1,8 +1,8 @@
-"""Sweep fabric: a fault-tolerant job service over the simulation engine.
+"""Sweep fabric: the batch runner and job service over the simulation engine.
 
 The engine (:mod:`repro.sim.engine`) knows how to execute, hash and cache
-one :class:`~repro.sim.engine.SimJob`; the fabric turns that into a
-service that survives production-scale batches:
+one :class:`~repro.sim.engine.SimJob`; the fabric runs every batch of
+them and survives production-scale ones:
 
 - :class:`FabricScheduler` — asyncio scheduler with cache dedup,
   size-bounded shards, per-job timeouts, bounded retry with exponential
@@ -15,8 +15,8 @@ service that survives production-scale batches:
 - cache lifecycle services (:func:`cache_stats`, :func:`gc_cache`) over
   the engine cache's LRU budget, counters and schema migrations.
 
-CLI: ``python -m repro fabric submit|status|gc`` and
-``python -m repro sweep --fabric``.
+Callers: :mod:`repro.sim.sweep`, ``python -m repro sweep`` and
+``python -m repro fabric submit|status|gc``.
 """
 
 from repro.sim.fabric.cache import cache_stats, gc_cache, register_schema_migration

@@ -4,9 +4,10 @@ The mechanics — LRU eviction against a size budget, hit/miss/eviction
 counters, and the :data:`~repro.sim.engine.SCHEMA_MIGRATIONS` chain that
 keeps old-schema entries readable across a ``CACHE_SCHEMA_VERSION`` bump
 — live on :class:`repro.sim.engine.ResultCache` itself, so every cache
-user (``run_job``, ``SweepRunner``, the fabric) gets them.  This module
-adds the service-level operations the ``python -m repro fabric`` CLI
-exposes: a stats report and an explicit garbage-collection pass.
+user (``run_job``, ``run_analysis``, the fabric scheduler) gets them.
+This module adds the service-level operations the ``python -m repro
+fabric`` CLI exposes: a stats report and an explicit garbage-collection
+pass.
 
 Eviction rules (also in DESIGN.md §"Sweep fabric"):
 

@@ -1,22 +1,26 @@
 """Fault-tolerant asyncio job scheduler over the simulation engine.
 
-:class:`FabricScheduler` is the service layer between callers with big
-job batches and the raw :func:`repro.sim.engine.execute_job` worker
-function.  One ``run()`` (or ``await run_async()``) call:
+:class:`FabricScheduler` is the engine's batch runner: every batch of
+jobs (``repro.sim.sweep``, ``python -m repro sweep`` and ``fabric
+submit``) goes through it to the :func:`repro.sim.engine.execute_job`
+worker function.  One ``run()`` (or ``await run_async()``) call:
 
 1. **Dedups** the batch against the per-process memo and the on-disk
-   :class:`~repro.sim.engine.ResultCache` — duplicate jobs inside one
-   batch execute once and share a record, exactly like
-   :class:`~repro.sim.engine.SweepRunner` (the equivalence suite pins the
-   two bit-identical, ``from_cache`` flags included).
+   :class:`~repro.sim.engine.ResultCache`: a memo hit returns the memoised
+   record flagged ``from_cache``, a disk hit is memoised, and duplicate
+   jobs inside one batch execute once and share a record.
 2. **Shards** the remaining unique jobs into size-bounded batches; each
    shard's jobs run concurrently on a :class:`RestartablePool` (actual
    parallelism bounded by the pool's worker count), shards run in order.
+   Without a pool (``workers == 1``, a job that cannot be pickled, or a
+   pool that cannot start) an attempt runs in the calling thread, one at
+   a time.
 3. **Executes with robustness**: per-job wall-clock timeout, bounded
    retry with exponential backoff + seeded jitter, crash isolation (a
-   poisoned worker costs one attempt of the jobs it touched, never the
-   batch), and graceful degradation to serial in-process execution when a
-   process pool cannot be created at all.
+   poisoned worker costs the jobs it touched one attempt, and they retry
+   one at a time after their shard, so only the culprit fails), and
+   graceful degradation to serial in-process execution when a process
+   pool cannot be created at all.
 4. **Streams progress**: every status transition (queued → running →
    done/failed/cached) is appended to ``events``, forwarded to the
    optional ``on_event`` callback, and aggregated in a
@@ -33,6 +37,7 @@ determinism lint's no-ambient-RNG rule intact.
 from __future__ import annotations
 
 import asyncio
+import pickle
 import random
 import time
 from dataclasses import replace
@@ -43,10 +48,8 @@ from repro.sim.engine import (
     JobRecord,
     ResultCache,
     SimJob,
-    _is_picklable,
     default_workers,
     execute_job,
-    failed_record,
     memo_get,
     memo_put,
 )
@@ -72,12 +75,24 @@ except ImportError:  # pragma: no cover - always present on CPython
     pass
 
 
+def _is_picklable(job: SimJob) -> bool:
+    try:
+        pickle.dumps(job)
+        return True
+    except Exception:
+        return False
+
+
 class FabricScheduler:
     """Run :class:`SimJob` batches with caching, retries and crash isolation.
 
-    Parameters mirror :class:`~repro.sim.engine.SweepRunner` where they
-    overlap (``workers``, ``cache``); the rest tune robustness:
+    Records come back in job order, bit-identical whatever the worker
+    count.  Parameters:
 
+    - ``workers``: process-pool size (default ``REPRO_JOBS``, else 1);
+      with 1 every attempt runs in the calling thread;
+    - ``cache``: the :class:`~repro.sim.engine.ResultCache` to dedup
+      against and publish to (default: one from the environment);
     - ``retry``: a :class:`RetryPolicy` (default: 3 attempts, 50 ms base
       backoff, 10 % jitter);
     - ``job_timeout``: wall-clock seconds one attempt may run before its
@@ -133,8 +148,7 @@ class FabricScheduler:
         jobs = list(jobs)
         records: List[Optional[JobRecord]] = [None] * len(jobs)
 
-        # Cache pass — mirrors SweepRunner.run exactly so the two runners
-        # stay bit-identical (records, order and from_cache flags).
+        # Cache pass: collect unique missing keys in first-seen order.
         states: Dict[str, JobState] = {}
         slots: Dict[str, List[int]] = {}
         for index, job in enumerate(jobs):
@@ -172,9 +186,15 @@ class FabricScheduler:
             for shard_index, shard in enumerate(shards):
                 for state in shard:
                     state.shard = shard_index
-                await asyncio.gather(
+                stopped = await asyncio.gather(
                     *(self._run_one(state, pool) for state in shard)
                 )
+                # A crash or a timeout breaks every attempt in flight, and
+                # the pool cannot say whose job caused it: the casualties
+                # retry one at a time, so only the culprit keeps failing.
+                for state, suspect in zip(shard, stopped):
+                    if suspect:
+                        await self._run_one(state, pool, alone=True)
         finally:
             if pool is not None:
                 pool.close()
@@ -193,19 +213,23 @@ class FabricScheduler:
         self._count_cache(
             "eviction", self.cache.evictions - evictions_before
         )
-        snapshot = self.cache.stats()
-        self.registry.gauge("fabric_cache_entries").set(float(snapshot["entries"]))
-        self.registry.gauge("fabric_cache_bytes").set(float(snapshot["bytes"]))
         return records  # type: ignore[return-value]
 
     # ---------------------------------------------------------- one job
 
-    async def _run_one(self, state: JobState, pool: Optional[RestartablePool]) -> None:
+    async def _run_one(
+        self, state: JobState, pool: Optional[RestartablePool], alone: bool = False
+    ) -> bool:
+        """Attempt ``state``'s job until it succeeds or runs out of attempts.
+
+        Unless ``alone``, an attempt that loses the pool (a crash or a
+        timeout) with attempts left ends the call early and returns True:
+        the caller resumes the job once nothing else is in flight.
+        """
         job = state.job
         use_pool = pool is not None and _is_picklable(job)
-        loop = asyncio.get_running_loop()
         last_error = "never attempted"
-        attempt = 0
+        attempt = state.attempts
         while attempt < self.retry.max_attempts:
             attempt += 1
             state.attempts = attempt
@@ -214,6 +238,7 @@ class FabricScheduler:
             self.registry.counter("fabric_attempts").inc()
             started = time.perf_counter()
             generation = -1
+            lost_pool = False
             try:
                 if use_pool and self._pool_ok and pool is not None:
                     generation = pool.generation
@@ -225,7 +250,9 @@ class FabricScheduler:
                             future, timeout=self.job_timeout
                         )
                 else:
-                    record = await loop.run_in_executor(None, execute_job, job)
+                    # In the calling thread, so in-process attempts never
+                    # overlap (a thread per attempt multiplies peak memory).
+                    record = execute_job(job)
             except PoolUnavailable as exc:
                 # Not the job's fault and not a consumed attempt: degrade
                 # the whole run to serial in-process execution.
@@ -244,6 +271,7 @@ class FabricScheduler:
                     f"TimeoutError: attempt exceeded {self.job_timeout}s"
                 )
                 self.registry.counter("fabric_timeouts").inc()
+                lost_pool = True
                 if pool is not None:
                     # A running future cannot be cancelled; killing the
                     # worker is the only way to reclaim it.
@@ -251,6 +279,7 @@ class FabricScheduler:
             except _POOL_CASUALTIES as exc:
                 last_error = f"{type(exc).__name__}: worker pool broke mid-job"
                 self.registry.counter("fabric_crashes").inc()
+                lost_pool = True
                 if pool is not None:
                     pool.restart_if(generation)
             except Exception as exc:
@@ -263,13 +292,15 @@ class FabricScheduler:
                 state.record = record
                 self._count_job("done")
                 self._emit(state, JobStatus.DONE, attempt)
-                return
+                return False
             self.registry.histogram("fabric_attempt_seconds").observe(
                 time.perf_counter() - started
             )
             if not self.retry.exhausted(attempt):
                 self.registry.counter("fabric_retries").inc()
                 await asyncio.sleep(self.retry.delay(attempt, self._rng))
+                if lost_pool and not alone:
+                    return True
 
         state.status = JobStatus.FAILED
         state.error = last_error
@@ -278,6 +309,7 @@ class FabricScheduler:
         )
         self._count_job("failed")
         self._emit(state, JobStatus.FAILED, state.attempts, detail=last_error)
+        return False
 
     # ----------------------------------------------------------- plumbing
 

@@ -3,18 +3,18 @@
 All sweeps run through :mod:`repro.sim.engine`: each builds a batch of
 declarative :class:`~repro.sim.engine.SimJob` specs (one shared full-power
 baseline plus one managed run per swept value) and executes it with a
-:class:`~repro.sim.engine.SweepRunner`, so repeated baselines are computed
-once, results are cached on disk, and ``REPRO_JOBS`` parallelises the
-batch without changing any value or ordering.
+:class:`~repro.sim.fabric.FabricScheduler`, so repeated baselines are
+computed once, results are cached on disk, and ``REPRO_JOBS`` parallelises
+the batch without changing any value or ordering.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List
 
 from repro.core.config import PowerChopConfig
 from repro.core.criticality import CriticalityThresholds
-from repro.sim.engine import SimJob, SweepRunner
+from repro.sim.engine import SimJob
 from repro.sim.results import (
     SimulationResult,
     power_reduction,
@@ -44,16 +44,19 @@ def _run_with_baseline(
     profile: BenchmarkProfile,
     max_instructions: int,
     managed_jobs: List[SimJob],
-    runner: Optional[SweepRunner],
 ) -> tuple:
     """Run (full baseline, *managed jobs) as one engine batch."""
+    # Imported on use: the fabric loads asyncio and multiprocessing, which
+    # ``import repro`` otherwise does without.
+    from repro.sim.fabric import FabricScheduler
+
     baseline = SimJob(
         profile=profile,
         design=design,
         mode=GatingMode.FULL,
         max_instructions=max_instructions,
     )
-    records = (runner or SweepRunner()).run([baseline, *managed_jobs])
+    records = FabricScheduler().run([baseline, *managed_jobs])
     return records[0].result, [record.result for record in records[1:]]
 
 
@@ -62,7 +65,6 @@ def sweep_powerchop_thresholds(
     profile: BenchmarkProfile,
     vpu_thresholds: Iterable[float],
     max_instructions: int = 400_000,
-    runner: Optional[SweepRunner] = None,
 ) -> List[Dict[str, float]]:
     """Sweep Threshold_VPU (and keep the others at defaults)."""
     thresholds = list(vpu_thresholds)
@@ -78,7 +80,7 @@ def sweep_powerchop_thresholds(
         )
         for threshold in thresholds
     ]
-    full, managed = _run_with_baseline(design, profile, max_instructions, jobs, runner)
+    full, managed = _run_with_baseline(design, profile, max_instructions, jobs)
     return [
         _compare_record(f"vpu_threshold={threshold}", full, result)
         for threshold, result in zip(thresholds, managed)
@@ -90,7 +92,6 @@ def sweep_window_sizes(
     profile: BenchmarkProfile,
     window_sizes: Iterable[int],
     max_instructions: int = 400_000,
-    runner: Optional[SweepRunner] = None,
 ) -> List[Dict[str, float]]:
     """Sweep the execution window size (paper's sensitivity analysis)."""
     windows = list(window_sizes)
@@ -104,7 +105,7 @@ def sweep_window_sizes(
         )
         for window in windows
     ]
-    full, managed = _run_with_baseline(design, profile, max_instructions, jobs, runner)
+    full, managed = _run_with_baseline(design, profile, max_instructions, jobs)
     records = []
     for window, result in zip(windows, managed):
         record = _compare_record(f"window={window}", full, result)
@@ -118,7 +119,6 @@ def sweep_signature_lengths(
     profile: BenchmarkProfile,
     lengths: Iterable[int],
     max_instructions: int = 400_000,
-    runner: Optional[SweepRunner] = None,
 ) -> List[Dict[str, float]]:
     """Sweep the phase signature length N (paper settles on N = 4)."""
     lengths = list(lengths)
@@ -132,7 +132,7 @@ def sweep_signature_lengths(
         )
         for length in lengths
     ]
-    full, managed = _run_with_baseline(design, profile, max_instructions, jobs, runner)
+    full, managed = _run_with_baseline(design, profile, max_instructions, jobs)
     records = []
     for length, result in zip(lengths, managed):
         record = _compare_record(f"signature_length={length}", full, result)
@@ -146,7 +146,6 @@ def sweep_timeout_periods(
     profile: BenchmarkProfile,
     timeout_cycles: Iterable[float],
     max_instructions: int = 400_000,
-    runner: Optional[SweepRunner] = None,
 ) -> List[Dict[str, float]]:
     """The §V-E timeout-period sweep (100 .. 100 K cycles)."""
     timeouts = list(timeout_cycles)
@@ -160,7 +159,7 @@ def sweep_timeout_periods(
         )
         for timeout in timeouts
     ]
-    full, managed = _run_with_baseline(design, profile, max_instructions, jobs, runner)
+    full, managed = _run_with_baseline(design, profile, max_instructions, jobs)
     return [
         _compare_record(f"timeout={timeout:g}", full, result)
         for timeout, result in zip(timeouts, managed)

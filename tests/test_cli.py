@@ -76,6 +76,27 @@ class TestCLI:
         assert "slowdown/power_red" in out
         assert "hmmer" in out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "hmmer", "-n", "0"],
+            ["sweep", "hmmer", "-j", "0"],
+            ["sweep", "hmmer", "-n", "0"],
+            ["fabric", "submit", "hmmer", "-j", "0"],
+            ["fabric", "submit", "hmmer", "--retries", "0"],
+            ["fabric", "submit", "hmmer", "--shard-size", "0"],
+            ["fabric", "submit", "hmmer", "--timeout", "0"],
+            ["fabric", "submit", "hmmer", "--timeout", "nan"],
+            ["fabric", "submit", "hmmer", "--backoff", "-1"],
+            ["fabric", "gc", "--budget", "-5"],
+        ],
+    )
+    def test_out_of_range_numbers_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "must be" in capsys.readouterr().err
+
     def test_unknown_benchmark(self):
         with pytest.raises(KeyError):
             main(["run", "doom", "-n", "1000"])

@@ -1,7 +1,6 @@
-"""Tests for the unified simulation engine (jobs, probes, cache, sweeps)."""
+"""Tests for the unified simulation engine (jobs, probes, cache)."""
 
 import json
-import time
 
 import pytest
 
@@ -12,10 +11,10 @@ from repro.sim import engine
 from repro.sim.engine import (
     ResultCache,
     SimJob,
-    SweepRunner,
     execute_job,
     run_job,
 )
+from repro.sim.fabric import FabricScheduler
 from repro.sim.probes import IPCSeriesProbe, PhaseLogProbe, UnitActivityProbe
 from repro.sim.results import SimulationResult
 from repro.sim.simulator import GatingMode, HybridSimulator
@@ -33,15 +32,6 @@ def fresh_engine(monkeypatch, tmp_path):
     engine.clear_memo()
     yield
     engine.clear_memo()
-
-
-def _six_jobs(budget=60_000):
-    """A small mixed sweep: three modes on one server and one mobile app."""
-    jobs = []
-    for name in ("hmmer", "msn"):
-        for mode in (GatingMode.FULL, GatingMode.POWERCHOP, GatingMode.MINIMAL):
-            jobs.append(SimJob(benchmark=name, mode=mode, max_instructions=budget))
-    return jobs
 
 
 class TestSimJobValidation:
@@ -220,32 +210,6 @@ class TestResultCache:
 
 
 class TestSweepRunnerDeterminism:
-    def test_parallel_matches_serial_bit_identical(self, monkeypatch, tmp_path):
-        jobs = _six_jobs()
-
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "serial"))
-        engine.clear_memo()
-        serial = SweepRunner(workers=1).run(jobs)
-
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "parallel"))
-        monkeypatch.setenv("REPRO_JOBS", "4")
-        engine.clear_memo()
-        runner = SweepRunner()
-        assert runner.workers == 4
-        parallel = runner.run(jobs)
-
-        assert [r.from_cache for r in parallel] == [False] * len(jobs)
-        serial_dicts = [r.result.to_dict() for r in serial]
-        parallel_dicts = [r.result.to_dict() for r in parallel]
-        assert serial_dicts == parallel_dicts  # same order, same values
-        assert [r.result.benchmark for r in parallel] == [j.benchmark for j in jobs]
-        assert [r.result.mode for r in parallel] == [j.mode.value for j in jobs]
-
-    def test_duplicate_jobs_share_one_record(self):
-        job = SimJob(benchmark="hmmer", max_instructions=60_000)
-        records = SweepRunner(workers=1).run([job, job, job])
-        assert records[0] is records[1] is records[2]
-
     def test_unpicklable_jobs_fall_back_to_serial(self):
         def tweak(simulator):  # local closure: not picklable
             simulator.core.apply_bpu_state(False)
@@ -259,34 +223,11 @@ class TestSweepRunnerDeterminism:
             ),
             SimJob(benchmark="hmmer", max_instructions=60_000),
         ]
-        records = SweepRunner(workers=4).run(jobs)
-        assert len(records) == 2
+        records = FabricScheduler(workers=4).run(jobs)
+        assert [r.ok for r in records] == [True, True]
         # The configured run really forced the small BPU: worse misprediction.
         assert (
             records[0].result.mispredict_rate >= records[1].result.mispredict_rate
-        )
-
-    def test_warm_disk_cache_is_10x_faster(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "warm"))
-        jobs = _six_jobs(budget=250_000)
-
-        engine.clear_memo()
-        start = time.perf_counter()
-        cold = SweepRunner(workers=1).run(jobs)
-        cold_elapsed = time.perf_counter() - start
-
-        engine.clear_memo()  # force the disk layer, not the memo
-        start = time.perf_counter()
-        warm = SweepRunner(workers=1).run(jobs)
-        warm_elapsed = time.perf_counter() - start
-
-        assert all(r.from_cache for r in warm)
-        assert [r.result.to_dict() for r in warm] == [
-            r.result.to_dict() for r in cold
-        ]
-        assert cold_elapsed >= 10 * warm_elapsed, (
-            f"warm cache not >=10x faster: cold {cold_elapsed:.3f}s, "
-            f"warm {warm_elapsed:.3f}s"
         )
 
 

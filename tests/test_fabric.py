@@ -1,6 +1,6 @@
-"""Sweep-fabric suite: fault injection, cache lifecycle, equivalence.
+"""Sweep-fabric suite: fault injection, cache lifecycle, batch runner.
 
-Covers the acceptance matrix for the fabric service layer:
+Covers the acceptance matrix for the fabric, the engine's batch runner:
 
 - retry-success / retry-exhaustion / timeout / batch-survives-poison-worker
   paths, driven by the deterministic ``FaultyExecutor`` injectors from
@@ -9,14 +9,18 @@ Covers the acceptance matrix for the fabric service layer:
   checks: the size budget is never exceeded, LRU never evicts a just-hit
   key before a colder one, and hit/miss/eviction counters reconcile with
   the model's observed operations;
-- bit-identical equivalence between :class:`FabricScheduler` and
-  :class:`SweepRunner` on a profiles x modes matrix, ``from_cache`` flags
-  included;
-- the engine regression: a crashed or unpicklable-result job yields a
-  failed :class:`JobRecord` while the rest of the batch completes.
+- batch determinism: records are bit-identical and in job order whatever
+  the worker count, and a warm disk cache replays them;
+- failure isolation: a crashed, raising or unpicklable-result job yields a
+  failed :class:`JobRecord` while the rest of the batch completes;
+- cost bounds: in-process attempts never overlap, and a warm run never
+  lists the cache directory.
 """
 
+import os
 import random
+import threading
+import time
 
 import pytest
 
@@ -24,7 +28,6 @@ from repro.sim import engine
 from repro.sim.engine import (
     ResultCache,
     SimJob,
-    SweepRunner,
     execute_job,
 )
 from repro.sim.fabric import (
@@ -56,6 +59,15 @@ def _job(seed=None, budget=30_000, benchmark="hmmer", mode=GatingMode.FULL):
     return SimJob(
         benchmark=benchmark, mode=mode, max_instructions=budget, seed=seed
     )
+
+
+def _six_jobs(budget=60_000):
+    """A small mixed batch: three modes on one server and one mobile app."""
+    return [
+        _job(benchmark=name, mode=mode, budget=budget)
+        for name in ("hmmer", "msn")
+        for mode in (GatingMode.FULL, GatingMode.POWERCHOP, GatingMode.MINIMAL)
+    ]
 
 
 # ------------------------------------------------------------ retry policy
@@ -312,39 +324,6 @@ class TestSchemaMigration:
         assert cache.get("k") is None
 
 
-# ------------------------------------ engine regression: crash isolation
-
-
-class TestSweepRunnerFaultIsolation:
-    def test_unpicklable_result_fails_one_job_not_the_batch(self):
-        poisoned = SimJob(
-            benchmark="hmmer",
-            max_instructions=30_000,
-            probes=(UnpicklableProbe(),),
-        )
-        jobs = [_job(seed=1), poisoned, _job(seed=2)]
-        records = SweepRunner(workers=2).run(jobs)
-        assert [r.ok for r in records] == [True, False, True]
-        assert records[1].result is None
-        assert records[1].error
-        # The failure is not memoised or persisted: resubmitting retries it.
-        assert engine.memo_get(poisoned.key()) is None
-        assert ResultCache().get(poisoned.key()) is None
-
-    def test_crashed_worker_fails_one_job_rest_complete(self, crashing_job):
-        jobs = [_job(seed=1), crashing_job("crash"), _job(seed=2), _job(seed=3)]
-        records = SweepRunner(workers=2).run(jobs)
-        assert len(records) == len(jobs)
-        assert [r.ok for r in records] == [True, False, True, True]
-        assert "BrokenProcessPool" in records[1].error
-
-    def test_raising_job_fails_serially_too(self, crashing_job):
-        jobs = [crashing_job("raise"), _job(seed=4)]
-        records = SweepRunner(workers=1).run(jobs)
-        assert [r.ok for r in records] == [False, True]
-        assert "RuntimeError: injected fault" in records[0].error
-
-
 # --------------------------------------------------------- the scheduler
 
 
@@ -366,6 +345,103 @@ class TestFabricScheduler:
         assert statuses[0] is JobStatus.QUEUED
         done_counter = _counter(scheduler, "fabric_jobs{status=done}")
         assert done_counter == 2
+
+    def test_parallel_matches_serial_bit_identical(self, monkeypatch, tmp_path):
+        jobs = _six_jobs()
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "serial"))
+        engine.clear_memo()
+        serial = FabricScheduler(workers=1, retry=FAST).run(jobs)
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "parallel"))
+        monkeypatch.setenv("REPRO_JOBS", "4")
+        engine.clear_memo()
+        scheduler = FabricScheduler(retry=FAST)
+        assert scheduler.workers == 4
+        parallel = scheduler.run(jobs)
+
+        assert [r.from_cache for r in parallel] == [False] * len(jobs)
+        assert [r.job_key for r in parallel] == [r.job_key for r in serial]
+        serial_dicts = [r.result.to_dict() for r in serial]
+        parallel_dicts = [r.result.to_dict() for r in parallel]
+        assert serial_dicts == parallel_dicts  # same order, same values
+        assert [r.phase_log for r in parallel] == [r.phase_log for r in serial]
+        assert [r.result.benchmark for r in parallel] == [j.benchmark for j in jobs]
+        assert [r.result.mode for r in parallel] == [j.mode.value for j in jobs]
+
+    def test_warm_disk_cache_is_10x_faster(self):
+        jobs = _six_jobs(budget=250_000)
+
+        start = time.perf_counter()
+        cold = FabricScheduler(workers=1, retry=FAST).run(jobs)
+        cold_elapsed = time.perf_counter() - start
+
+        engine.clear_memo()  # force the disk layer, not the memo
+        start = time.perf_counter()
+        warm = FabricScheduler(workers=1, retry=FAST).run(jobs)
+        warm_elapsed = time.perf_counter() - start
+
+        assert all(r.from_cache for r in warm)
+        assert [r.result.to_dict() for r in warm] == [
+            r.result.to_dict() for r in cold
+        ]
+        assert cold_elapsed >= 10 * warm_elapsed, (
+            f"warm cache not >=10x faster: cold {cold_elapsed:.3f}s, "
+            f"warm {warm_elapsed:.3f}s"
+        )
+
+    def test_warm_run_never_lists_the_cache(self, monkeypatch):
+        jobs = [_job(seed=1), _job(seed=2)]
+        FabricScheduler(workers=1, retry=FAST).run(jobs)
+        engine.clear_memo()
+
+        def no_listing(cache):
+            raise AssertionError("a warm run listed every cache entry")
+
+        monkeypatch.setattr(ResultCache, "entries", no_listing)
+        records = FabricScheduler(workers=1, retry=FAST).run(jobs)
+        assert all(r.from_cache for r in records)
+
+    def test_in_process_attempts_never_overlap(self, monkeypatch):
+        """Without a pool, attempts run one at a time in the calling thread."""
+        lock = threading.Lock()
+        in_flight = [0]
+        peak = [0]
+        threads = set()
+
+        def tracked(job):
+            with lock:
+                in_flight[0] += 1
+                peak[0] = max(peak[0], in_flight[0])
+                threads.add(threading.get_ident())
+            try:
+                time.sleep(0.05)  # widen any overlap
+                return execute_job(job)
+            finally:
+                with lock:
+                    in_flight[0] -= 1
+
+        monkeypatch.setattr("repro.sim.fabric.scheduler.execute_job", tracked)
+        jobs = [_job(seed=seed, budget=5_000) for seed in range(4)]
+        records = FabricScheduler(workers=1, retry=FAST).run(jobs)
+        assert all(r.ok for r in records)
+        assert peak[0] == 1
+        assert threads == {threading.get_ident()}
+
+    def test_unpicklable_result_fails_one_job_not_the_batch(self):
+        poisoned = SimJob(
+            benchmark="hmmer",
+            max_instructions=30_000,
+            probes=(UnpicklableProbe(),),
+        )
+        jobs = [_job(seed=1), poisoned, _job(seed=2)]
+        records = FabricScheduler(workers=2, retry=FAST).run(jobs)
+        assert [r.ok for r in records] == [True, False, True]
+        assert records[1].result is None
+        assert records[1].error
+        # The failure is not memoised or persisted: resubmitting retries it.
+        assert engine.memo_get(poisoned.key()) is None
+        assert ResultCache().get(poisoned.key()) is None
 
     def test_warm_run_is_all_cached(self):
         jobs = [_job(seed=1), _job(seed=2)]
@@ -417,6 +493,17 @@ class TestFabricScheduler:
             e for e in scheduler.events if e.status is JobStatus.FAILED
         ]
         assert len(failed_events) == 1 and failed_events[0].attempt == 2
+
+    def test_crash_fails_only_the_culprit(self, crashing_job):
+        """A crash breaks every attempt in flight; the casualties retry
+        alone, so only the job that kills its worker fails."""
+        jobs = [_job(seed=1), crashing_job("crash")]
+        jobs += [_job(seed=seed) for seed in range(2, 6)]
+        scheduler = FabricScheduler(workers=2, retry=FAST)
+        records = scheduler.run(jobs)
+        assert [r.ok for r in records] == [True, False, True, True, True, True]
+        assert "worker pool broke" in records[1].error
+        assert _counter(scheduler, "fabric_jobs{status=done}") == 5
 
     @pytest.mark.timeout(120)
     def test_batch_survives_poison_worker(self, crashing_job):
@@ -486,8 +573,10 @@ class TestFabricScheduler:
         assert _counter(scheduler, "fabric_jobs{status=done}") == 2
 
     def test_unpicklable_jobs_run_in_process(self):
+        calls = []
+
         def tweak(simulator):  # local closure: not picklable
-            pass
+            calls.append(os.getpid())
 
         jobs = [
             SimJob(
@@ -502,7 +591,9 @@ class TestFabricScheduler:
         assert [r.ok for r in records] == [True, True]
         assert records[0].job_key != records[1].job_key  # tag salts the key
         # The closure can't travel to a pool worker; the job must have run
-        # in-process — and, being a no-op, bit-identically to the plain one.
+        # in-process, once — and, changing nothing, bit-identically to the
+        # plain one.
+        assert calls == [os.getpid()]
         assert records[0].result.to_dict() == records[1].result.to_dict()
 
     def test_validation(self):
@@ -512,78 +603,3 @@ class TestFabricScheduler:
             FabricScheduler(shard_size=0)
         with pytest.raises(ValueError):
             FabricScheduler(job_timeout=0.0)
-
-
-# ------------------------------------------------------------ equivalence
-
-
-class TestFabricSweepRunnerEquivalence:
-    """FabricScheduler must be bit-identical to SweepRunner.run."""
-
-    PROFILES = ("hmmer", "msn", "bzip2")
-    MODES = (GatingMode.FULL, GatingMode.POWERCHOP)
-
-    def _matrix(self):
-        return [
-            _job(benchmark=name, mode=mode, budget=40_000)
-            for name in self.PROFILES
-            for mode in self.MODES
-        ]
-
-    def test_records_bit_identical_on_profile_mode_matrix(
-        self, monkeypatch, tmp_path
-    ):
-        jobs = self._matrix()
-
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "sweep"))
-        engine.clear_memo()
-        baseline = SweepRunner(workers=2).run(jobs)
-
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "fabric"))
-        engine.clear_memo()
-        fabric = FabricScheduler(workers=2, retry=FAST).run(jobs)
-
-        assert [r.from_cache for r in fabric] == [
-            r.from_cache for r in baseline
-        ]
-        assert [r.job_key for r in fabric] == [r.job_key for r in baseline]
-        assert [r.result.to_dict() for r in fabric] == [
-            r.result.to_dict() for r in baseline
-        ], "fabric records must be bit-identical to SweepRunner's"
-        assert [r.phase_log for r in fabric] == [
-            r.phase_log for r in baseline
-        ]
-
-    def test_warm_cache_flags_match_too(self, monkeypatch, tmp_path):
-        jobs = self._matrix()[:4]
-
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "warm"))
-        engine.clear_memo()
-        SweepRunner(workers=1).run(jobs)
-        engine.clear_memo()
-        baseline = SweepRunner(workers=1).run(jobs)  # all disk hits
-
-        engine.clear_memo()
-        fabric = FabricScheduler(workers=1, retry=FAST).run(jobs)
-        assert all(r.from_cache for r in fabric)
-        assert [r.from_cache for r in fabric] == [
-            r.from_cache for r in baseline
-        ]
-        assert [r.result.to_dict() for r in fabric] == [
-            r.result.to_dict() for r in baseline
-        ]
-
-    def test_sweep_cli_fabric_flag_matches_plain(self, monkeypatch, tmp_path, capsys):
-        from repro.__main__ import main
-
-        argv = ["sweep", "hmmer", "-m", "full", "-n", "40000", "--json"]
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cli-plain"))
-        engine.clear_memo()
-        assert main(argv) == 0
-        plain = capsys.readouterr().out
-
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cli-fabric"))
-        engine.clear_memo()
-        assert main(argv + ["--fabric"]) == 0
-        fabric = capsys.readouterr().out
-        assert fabric == plain
