@@ -16,7 +16,9 @@ import timeit
 import pytest
 
 from repro.core.config import PowerChopConfig
-from repro.obs.tracer import NULL_TRACER
+from repro.obs.tracer import NULL_TRACER, Tracer
+from repro.sim import simulator as simulator_module
+from repro.sim.backends import available_backends
 from repro.sim.simulator import GatingMode, HybridSimulator
 from repro.uarch.config import design_for_suite
 from repro.workloads.profiles import build_workload
@@ -27,7 +29,7 @@ pytestmark = pytest.mark.slow
 _QUICK = PowerChopConfig(window_size=100, warmup_windows=1)
 
 
-def _run(name, obs_level, seed=7, max_instructions=200_000):
+def _run(name, obs_level, seed=7, max_instructions=200_000, backend=None):
     profile = get_profile(name)
     simulator = HybridSimulator(
         design_for_suite(profile.suite),
@@ -35,12 +37,33 @@ def _run(name, obs_level, seed=7, max_instructions=200_000):
         GatingMode.POWERCHOP,
         powerchop_config=_QUICK,
         obs_level=obs_level,
+        backend=backend,
     )
     result = simulator.run(max_instructions)
     return simulator, result
 
 
-def test_guard_cost_projects_under_two_percent():
+class _CountingTracer(Tracer):
+    """An off-level tracer that counts every read of ``active``."""
+
+    __slots__ = ("checks",)
+
+    def __init__(self, level, capacity):
+        self.checks = 0
+        super().__init__(level, capacity)
+
+    @property
+    def active(self):
+        self.checks += 1
+        return False
+
+    @active.setter
+    def active(self, value):
+        assert not value
+
+
+@pytest.mark.parametrize("backend", available_backends())
+def test_guard_cost_projects_under_two_percent(monkeypatch, backend):
     """The one-branch guard, measured, as a fraction of real run time."""
     # Cost of one `if tracer.active:` check (attribute load + branch).
     checks = 1_000_000
@@ -49,20 +72,22 @@ def test_guard_cost_projects_under_two_percent():
     )
     per_check_s = guard_s / checks
 
-    # A real off-level run, timed, with its dynamic block count.
+    # A real off-level run, timed ...
     start = time.perf_counter()
-    simulator, _result = _run("bzip2", "off", max_instructions=1_000_000)
+    _run("bzip2", "off", max_instructions=1_000_000, backend=backend)
     run_s = time.perf_counter() - start
-    # Conservative: charge 8 guard checks to every dynamic block (the
-    # instrumented components hold ~6 emission sites between them, and
-    # most fire at most once per window, not per block).
-    blocks = max(simulator.bt.translated_blocks,
-                 simulator.core.counters.instructions // 4)
-    projected = blocks * 8 * per_check_s
+    # ... and the guard checks the same run makes, counted: every
+    # component reads the simulator's tracer.
+    monkeypatch.setattr(simulator_module, "Tracer", _CountingTracer)
+    simulator, _result = _run(
+        "bzip2", "off", max_instructions=1_000_000, backend=backend
+    )
+    made = simulator.tracer.checks
+    projected = made * per_check_s
     overhead = projected / run_s
     print(
-        f"\nguard: {per_check_s * 1e9:.1f} ns/check; run {run_s:.2f}s, "
-        f"~{blocks:,} blocks -> projected overhead {overhead:.3%}"
+        f"\n{backend} guard: {per_check_s * 1e9:.1f} ns/check; run "
+        f"{run_s:.2f}s, {made:,} checks -> projected overhead {overhead:.3%}"
     )
     assert overhead < 0.02
 

@@ -17,17 +17,20 @@ Built-in backends:
   correctness oracle, and the only loop that supports probes.
 - ``fastpath``   — the fused loop of :mod:`repro.sim.backends.fastpath`:
   per-access, but with inlined component hot paths, batched monotonic
-  counters and memoized same-line block replay.
-- ``vectorized`` — :mod:`repro.sim.backends.vectorized` (requires numpy):
-  records each burst's block trace once with a lean scalar pass that also
-  resolves its branches through the predictor, then evaluates the burst's
-  timing, cache behaviour, RNG-driven address draws and (in TIMEOUT mode)
-  the VPU timeout controller as batched array kernels.  Probe runs, and
-  hierarchies whose levels differ in line size, delegate to
-  ``reference``; fully traced runs go to ``fastpath``.
+  counters and memoized same-line block replay.  It runs fully traced
+  ``vectorized`` runs.
+- ``vectorized`` — :mod:`repro.sim.backends.vectorized` (requires numpy;
+  the default): records each burst's block trace once with a lean scalar
+  pass that also resolves its branches through the predictor, then
+  evaluates the burst's timing, cache behaviour, RNG-driven address draws
+  and (in TIMEOUT mode) the VPU timeout controller as batched array
+  kernels.  Probe runs, and hierarchies whose levels differ in line size,
+  delegate to ``reference``; fully traced runs go to ``fastpath``.
 
 Selection rules: ``HybridSimulator(backend="...")`` resolves a name
 through :func:`get_backend`; ``None`` selects :data:`DEFAULT_BACKEND`.
+A backend's module is imported when it is first resolved, except the
+default's, which :mod:`repro.sim.simulator` loads with itself.
 Backends whose ``needs_replay_state`` is true get a :class:`FastPathState`
 attached as ``core.fastpath_listener`` so gating/policy/window events
 conservatively invalidate any memoized replay state.
@@ -57,6 +60,7 @@ except ImportError:  # pragma: no cover - very old pythons only
 __all__ = [
     "SimBackend",
     "DEFAULT_BACKEND",
+    "FastPathState",
     "available_backends",
     "get_backend",
     "register_backend",
@@ -64,8 +68,8 @@ __all__ = [
 ]
 
 #: The default execution backend (bit-identical to ``reference``; the
-#: fastest loop that needs no optional dependency).
-DEFAULT_BACKEND = "fastpath"
+#: fastest loop).
+DEFAULT_BACKEND = "vectorized"
 
 
 @runtime_checkable
@@ -77,8 +81,8 @@ class SimBackend(Protocol):
     cycles; on return every component counter, the BT walk state and the
     workload's stream cursors must hold exactly the values the reference
     loop would have left.  ``needs_replay_state`` tells the simulator to
-    create a :class:`~repro.sim.backends.fastpath.FastPathState` and
-    attach it as ``core.fastpath_listener`` before the run.
+    create a :class:`FastPathState` and attach it as
+    ``core.fastpath_listener`` before the run.
     """
 
     name: str
@@ -92,9 +96,73 @@ class SimBackend(Protocol):
     ) -> float: ...
 
 
-#: name -> zero-arg factory.  Factories defer imports so that optional
-#: dependencies (numpy for ``vectorized``) are only required when the
-#: backend is actually selected.
+class FastPathState:
+    """Replay-streak table plus fast-path statistics.
+
+    Both fast loops read it, so it lives here, where a simulator can build
+    one without loading the ``fastpath`` loop.  Registered as
+    ``core.fastpath_listener`` (and consulted by the PowerChop controller)
+    so every event that could mark a phase change — unit gating, a policy
+    application, a measurement window being armed, a window boundary —
+    conservatively clears the streak table.
+    """
+
+    __slots__ = (
+        "streaks",
+        "blocks_replayed",
+        "accesses_elided",
+        "invalidations",
+        "window_resets",
+        "policy_resets",
+        "phase_resets",
+        "bursts_recorded",
+        "blocks_vectorized",
+        "blocks_fallback",
+        "pass_a_seconds",
+        "pass_b_seconds",
+        "scalar_seconds",
+    )
+
+    def __init__(self) -> None:
+        #: static block pc -> consecutive qualifying executions
+        self.streaks: dict = {}
+        self.blocks_replayed = 0
+        self.accesses_elided = 0
+        self.invalidations = 0
+        self.window_resets = 0
+        self.policy_resets = 0
+        self.phase_resets = 0
+        #: Vectorized-backend statistics (always zero under ``fastpath``):
+        #: recorded bursts, blocks evaluated by batch kernels, and blocks
+        #: that took the per-access fallback loop instead.
+        self.bursts_recorded = 0
+        self.blocks_vectorized = 0
+        self.blocks_fallback = 0
+        #: Wall-clock split of the vectorized run loop (pass A = recording
+        #: walk, pass B = array flushes, scalar = window-boundary blocks);
+        #: reported by ``scripts/profile_simulator.py --breakdown``.
+        self.pass_a_seconds = 0.0
+        self.pass_b_seconds = 0.0
+        self.scalar_seconds = 0.0
+
+    def note_gating(self, unit: str) -> None:
+        """A unit changed power state (VPU/BPU gate, MLC way-gate/flush)."""
+        self.invalidations += 1
+        self.streaks.clear()
+
+    def note_window(self) -> None:
+        """A PowerChop execution window completed."""
+        self.window_resets += 1
+        self.streaks.clear()
+
+    def note_policy_action(self) -> None:
+        """The controller applied a policy or armed a measurement window."""
+        self.policy_resets += 1
+        self.streaks.clear()
+
+
+#: name -> zero-arg factory.  Factories defer imports, so a process loads
+#: only the loops it selects (each one compiled costs resident memory).
 _FACTORIES: Dict[str, Callable[[], SimBackend]] = {}
 _INSTANCES: Dict[str, SimBackend] = {}
 

@@ -59,6 +59,9 @@ import zlib
 from typing import TYPE_CHECKING, Sequence
 
 from repro.bt.runtime import ExecMode
+from repro.sim.backends import FastPathState
+
+__all__ = ["FastPathBackend", "FastPathState", "run_fast"]
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.simulator import HybridSimulator
@@ -71,69 +74,6 @@ _MISSING = object()
 K_STREAK = 4
 
 _INTERPRETED = ExecMode.INTERPRETED
-
-
-class FastPathState:
-    """Replay-streak table plus fast-path statistics.
-
-    Registered as ``core.fastpath_listener`` (and consulted by the
-    PowerChop controller) so every event that could mark a phase change —
-    unit gating, a policy application, a measurement window being armed, a
-    window boundary — conservatively clears the streak table.
-    """
-
-    __slots__ = (
-        "streaks",
-        "blocks_replayed",
-        "accesses_elided",
-        "invalidations",
-        "window_resets",
-        "policy_resets",
-        "phase_resets",
-        "bursts_recorded",
-        "blocks_vectorized",
-        "blocks_fallback",
-        "pass_a_seconds",
-        "pass_b_seconds",
-        "scalar_seconds",
-    )
-
-    def __init__(self) -> None:
-        #: static block pc -> consecutive qualifying executions
-        self.streaks: dict = {}
-        self.blocks_replayed = 0
-        self.accesses_elided = 0
-        self.invalidations = 0
-        self.window_resets = 0
-        self.policy_resets = 0
-        self.phase_resets = 0
-        #: Vectorized-backend statistics (always zero under ``fastpath``):
-        #: recorded bursts, blocks evaluated by batch kernels, and blocks
-        #: that took the per-access fallback loop instead.
-        self.bursts_recorded = 0
-        self.blocks_vectorized = 0
-        self.blocks_fallback = 0
-        #: Wall-clock split of the vectorized run loop (pass A = recording
-        #: walk, pass B = array flushes, scalar = window-boundary blocks);
-        #: reported by ``scripts/profile_simulator.py --breakdown``.
-        self.pass_a_seconds = 0.0
-        self.pass_b_seconds = 0.0
-        self.scalar_seconds = 0.0
-
-    def note_gating(self, unit: str) -> None:
-        """A unit changed power state (VPU/BPU gate, MLC way-gate/flush)."""
-        self.invalidations += 1
-        self.streaks.clear()
-
-    def note_window(self) -> None:
-        """A PowerChop execution window completed."""
-        self.window_resets += 1
-        self.streaks.clear()
-
-    def note_policy_action(self) -> None:
-        """The controller applied a policy or armed a measurement window."""
-        self.policy_resets += 1
-        self.streaks.clear()
 
 
 class FastPathBackend:

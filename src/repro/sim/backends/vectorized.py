@@ -8,10 +8,8 @@ access at a time, this backend splits each steady stretch of execution (a
   loop would — but with every per-block cost deferred and every branch
   outcome *pre-materialized*.  Biased/Random draws (and GlobalCorrelated
   noise) come from an :class:`.rngkit.OwnedStream` over the model's own
-  ``random.Random``: a stream's first values are scalar ``random()``
-  calls, and once its demand passes ``rngkit._TRANSPLANT_AFTER`` values
-  the Mersenne-Twister state moves into numpy once and the run reads raw
-  words from it, with no state written back.  Loop/Pattern outcomes are
+  ``random.Random``, which draws each chunk's Mersenne-Twister words from
+  that generator in one ``getrandbits`` call.  Loop/Pattern outcomes are
   closed-form over an index range, and GlobalCorrelated branches reduce
   to a popcount over the maintained history register — so the walk
   takes each branchy block's ``(taken, successor)`` pair from an iterator
@@ -168,7 +166,6 @@ from repro.isa.branches import (
     PatternBranch,
     RandomBranch,
 )
-from repro.sim.backends.fastpath import run_fast
 from repro.sim.backends.rngkit import OwnedStream, plan_stream_draws
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -602,7 +599,9 @@ class VectorizedBackend:
             return get_backend("reference").run(simulator, max_instructions, probes)
         if simulator.tracer.active:
             # Full event tracing wants per-block timestamps, which the
-            # fused scalar loop keeps.
+            # fused scalar loop keeps; only traced runs load it.
+            from repro.sim.backends.fastpath import run_fast
+
             return run_fast(simulator, max_instructions)
         return run_vectorized(simulator, max_instructions)
 

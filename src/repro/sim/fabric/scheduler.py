@@ -98,7 +98,9 @@ class FabricScheduler:
     - ``job_timeout``: wall-clock seconds one attempt may run before its
       worker is killed and the attempt counts as failed (``None`` — the
       default — disables the timeout; serial in-process execution cannot
-      enforce one either way);
+      enforce one either way).  With a timeout, at most ``workers`` pool
+      attempts are in flight, so an attempt's clock starts when a worker
+      can take it, not while it waits behind the others;
     - ``shard_size``: how many unique jobs are dispatched concurrently;
       ``shard_size=1`` fully serialises dispatch, which also confines a
       poison worker's blast radius to exactly its own job;
@@ -137,6 +139,7 @@ class FabricScheduler:
         self.events: List[FabricEvent] = []
         self._rng = random.Random(seed)
         self._pool_ok = True
+        self._slots: Optional[asyncio.Semaphore] = None
 
     # ------------------------------------------------------------ running
 
@@ -146,6 +149,8 @@ class FabricScheduler:
 
     async def run_async(self, jobs: Sequence[SimJob]) -> List[JobRecord]:
         jobs = list(jobs)
+        if self.job_timeout is not None:
+            self._slots = asyncio.Semaphore(self.workers)
         records: List[Optional[JobRecord]] = [None] * len(jobs)
 
         # Cache pass: collect unique missing keys in first-seen order.
@@ -241,14 +246,18 @@ class FabricScheduler:
             lost_pool = False
             try:
                 if use_pool and self._pool_ok and pool is not None:
-                    generation = pool.generation
-                    future = asyncio.wrap_future(pool.submit(execute_job, job))
-                    if self.job_timeout is None:
-                        record = await future
-                    else:
-                        record = await asyncio.wait_for(
-                            future, timeout=self.job_timeout
+                    if self._slots is None:
+                        generation = pool.generation
+                        record = await asyncio.wrap_future(
+                            pool.submit(execute_job, job)
                         )
+                    else:
+                        async with self._slots:
+                            generation = pool.generation
+                            record = await asyncio.wait_for(
+                                asyncio.wrap_future(pool.submit(execute_job, job)),
+                                timeout=self.job_timeout,
+                            )
                 else:
                     # In the calling thread, so in-process attempts never
                     # overlap (a thread per attempt multiplies peak memory).

@@ -12,14 +12,22 @@ from repro.core.timeout import TimeoutVPUController
 from repro.obs.collect import collect_metrics
 from repro.obs.tracer import DEFAULT_CAPACITY, Tracer
 from repro.power.accounting import EnergyAccounting
-from repro.sim.backends import get_backend, resolve_backend_name
-from repro.sim.backends.fastpath import FastPathState
+from repro.sim.backends import (
+    DEFAULT_BACKEND,
+    FastPathState,
+    get_backend,
+    resolve_backend_name,
+)
 from repro.sim.results import SimulationResult
 from repro.staticcheck.hints import build_hints
 from repro.uarch.config import DesignPoint
 from repro.uarch.core import CoreModel
 from repro.workloads.generator import SyntheticWorkload
 from repro.workloads.profiles import BenchmarkProfile, build_workload, regions_of
+
+# Load the default loop with the simulator, not in its first run: compiled
+# mid-run, its module's transient allocations land on top of the run's.
+get_backend(DEFAULT_BACKEND)
 
 
 class GatingMode(Enum):

@@ -78,6 +78,8 @@ class FaultyExecutor:
     - ``"crash"`` — hard-kills the worker (``os._exit``), poisoning a
       ``ProcessPoolExecutor`` exactly like a segfault or OOM-kill;
     - ``"hang"``  — sleeps far past any reasonable job timeout;
+    - ``"slow"``  — sleeps ``seconds``, then runs normally (a long but
+      healthy job);
     - ``"raise"`` — raises ``RuntimeError`` from the job body;
     - ``"ok"``    — no fault (control).
 
@@ -87,13 +89,16 @@ class FaultyExecutor:
     faulty jobs travel to pool workers like any other job.
     """
 
-    KINDS = ("crash", "hang", "raise", "ok")
+    KINDS = ("crash", "hang", "slow", "raise", "ok")
 
-    def __init__(self, kind: str, latch: Optional[str] = None) -> None:
+    def __init__(
+        self, kind: str, latch: Optional[str] = None, seconds: float = 0.0
+    ) -> None:
         if kind not in self.KINDS:
             raise ValueError(f"unknown fault kind {kind!r}")
         self.kind = kind
         self.latch = latch
+        self.seconds = seconds
 
     def __call__(self, simulator) -> None:
         if self.latch is not None:
@@ -105,6 +110,8 @@ class FaultyExecutor:
             os._exit(13)
         elif self.kind == "hang":
             time.sleep(600)
+        elif self.kind == "slow":
+            time.sleep(self.seconds)
         elif self.kind == "raise":
             raise RuntimeError("injected fault")
 
@@ -135,9 +142,10 @@ def crashing_job(tmp_path):
     """Factory for :class:`~repro.sim.engine.SimJob` carrying an injected fault.
 
     ``make(kind, once=False, ...)`` returns a job whose worker crashes,
-    hangs or raises deterministically; ``once=True`` arms the fault for
-    the first attempt only (retries succeed).  Each distinct ``tag``
-    yields a distinct cache key, so faulty jobs never alias healthy ones.
+    hangs, sleeps for ``seconds`` or raises deterministically;
+    ``once=True`` arms the fault for the first attempt only (retries
+    succeed).  Each distinct ``tag`` yields a distinct cache key, so
+    faulty jobs never alias healthy ones.
     """
     from repro.sim.engine import SimJob
 
@@ -148,6 +156,7 @@ def crashing_job(tmp_path):
         budget: int = 30_000,
         tag: str = "",
         seed: Optional[int] = None,
+        seconds: float = 0.0,
     ) -> SimJob:
         label = tag or f"{kind}-{'once' if once else 'always'}"
         latch = str(tmp_path / f"latch-{label}") if once else None
@@ -155,7 +164,7 @@ def crashing_job(tmp_path):
             benchmark=benchmark,
             max_instructions=budget,
             seed=seed,
-            configure=FaultyExecutor(kind, latch),
+            configure=FaultyExecutor(kind, latch, seconds),
             cache_tag=f"fault-{label}",
         )
 

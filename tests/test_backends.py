@@ -193,12 +193,12 @@ def test_simulator_reference_backend_has_no_replay_state():
     sim.run(10_000)  # runs the reference loop without error
 
 
-def test_default_backend_job_never_imports_vectorized():
-    """The default path leaves numpy.random and the vectorized loop unloaded.
+def test_default_backend_job_never_imports_fastpath_or_numpy_random():
+    """The default path loads only the loop it runs, and no numpy.random.
 
-    Importing them costs a few MB of resident memory that every default
-    run (and every pool worker) would carry.  A fresh interpreter starts
-    with a clean ``sys.modules``.
+    Compiling an unused loop or importing ``numpy.random`` costs a few MB
+    of resident memory that every default run (and every pool worker)
+    would carry.  A fresh interpreter starts with a clean ``sys.modules``.
     """
     code = (
         "import sys\n"
@@ -207,7 +207,7 @@ def test_default_backend_job_never_imports_vectorized():
         "for mode in GatingMode:\n"
         "    execute_job(SimJob(benchmark='google', mode=mode,"
         " max_instructions=5000))\n"
-        "names = ('repro.sim.backends.vectorized', 'repro.sim.backends.rngkit',"
+        "names = ('repro.sim.backends.fastpath', 'repro.sim.backends.reference',"
         " 'numpy.random')\n"
         "print(sorted(n for n in names if n in sys.modules))\n"
     )

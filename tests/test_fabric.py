@@ -560,6 +560,26 @@ class TestFabricScheduler:
         assert _counter(scheduler, "fabric_timeouts") == 1
         assert _counter(scheduler, "fabric_retries") == 1
 
+    @pytest.mark.timeout(90)
+    def test_timeout_clock_starts_when_a_worker_takes_the_job(self, crashing_job):
+        """Healthy jobs queued behind a busy pool do not time out.
+
+        Four 1 s jobs on two workers take about 2 s; a 1.7 s timeout that
+        counted the wait in the executor's queue would fail the last two.
+        """
+        jobs = [
+            crashing_job("slow", seconds=1.0, tag=f"slow-{index}")
+            for index in range(4)
+        ]
+        scheduler = FabricScheduler(
+            workers=2,
+            job_timeout=1.7,
+            retry=RetryPolicy(max_attempts=1),
+        )
+        records = scheduler.run(jobs)
+        assert [r.ok for r in records] == [True] * 4
+        assert _counter(scheduler, "fabric_timeouts") == 0
+
     def test_degrades_to_serial_when_pool_unavailable(self, monkeypatch):
         def no_pool(self):
             self.available = False

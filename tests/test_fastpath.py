@@ -120,7 +120,9 @@ def _single_phase_workload(random_frac):
 def test_random_frac_streams_never_replay_blocks():
     """random_frac > 0 must take the per-access path (RNG draws consumed)."""
     design = design_for_suite("spec")
-    sim = HybridSimulator(design, _single_phase_workload(0.3), GatingMode.FULL)
+    sim = HybridSimulator(
+        design, _single_phase_workload(0.3), GatingMode.FULL, backend="fastpath"
+    )
     sim.run(50_000)
     assert sim.fastpath_state.blocks_replayed == 0
     assert sim.fastpath_state.accesses_elided == 0
@@ -129,7 +131,9 @@ def test_random_frac_streams_never_replay_blocks():
 def test_deterministic_loop_replays_blocks():
     """A tiny deterministic loop working set reaches the replay path."""
     design = design_for_suite("spec")
-    fast_sim = HybridSimulator(design, _single_phase_workload(0.0), GatingMode.FULL)
+    fast_sim = HybridSimulator(
+        design, _single_phase_workload(0.0), GatingMode.FULL, backend="fastpath"
+    )
     fast_result = fast_sim.run(50_000)
     assert fast_sim.fastpath_state.blocks_replayed > 0
     assert fast_sim.fastpath_state.accesses_elided > 0
@@ -155,7 +159,9 @@ def test_invalidation_hooks_clear_streaks():
 
 def test_gating_transitions_notify_listener():
     design = design_for_suite("spec")
-    sim = HybridSimulator(design, _single_phase_workload(0.0), GatingMode.FULL)
+    sim = HybridSimulator(
+        design, _single_phase_workload(0.0), GatingMode.FULL, backend="fastpath"
+    )
     before = sim.fastpath_state.invalidations
     sim.core.apply_vpu_state(False)
     sim.core.apply_bpu_state(False)

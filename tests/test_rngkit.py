@@ -3,11 +3,10 @@
 The vectorized backend replaces scalar ``random.Random`` draws and branch
 ``next_outcome`` loops with bulk array materialization.  These tests pin
 the contract word-for-word: every materialized value must be bit-identical
-to what the scalar call sequence would have produced.  Address-stream
-plans must also leave the scalar object in exactly the state the scalar
-sequence would leave it in (so scalar and batched execution can
-interleave freely); an owned branch stream instead transplants at most
-once and never writes back.
+to what the scalar call sequence would have produced, and every bulk draw
+must leave the ``random.Random`` it drew from exactly where the scalar
+sequence would leave it (so scalar and batched execution can interleave
+freely).
 """
 
 from __future__ import annotations
@@ -29,6 +28,7 @@ from repro.isa.branches import (
 from repro.sim.backends import rngkit
 from repro.sim.backends.rngkit import (
     OwnedStream,
+    draw_words,
     peek_words,
     plan_stream_draws,
     write_back,
@@ -47,89 +47,28 @@ from repro.workloads.generator import AddressStream, MemoryBehavior
 # ---------------------------------------------------------------------------
 
 
-def _count_transplants(monkeypatch):
-    calls = []
-    real = rngkit._transplant
-
-    def counted(state):
-        calls.append(state)
-        return real(state)
-
-    monkeypatch.setattr(rngkit, "_transplant", counted)
-    return calls
-
-
-@pytest.mark.parametrize("demand, transplants", [(39, 0), (40, 0), (41, 1)])
-def test_owned_stream_matches_scalar_around_the_threshold(
-    monkeypatch, demand, transplants
-):
-    """Demand just below, exactly at and just past the threshold."""
-    monkeypatch.setattr(rngkit, "_TRANSPLANT_AFTER", 40)
-    calls = _count_transplants(monkeypatch)
-    scalar = random.Random(2024)
-    stream = OwnedStream(random.Random(2024))
-    got: list = []
-    chunk = 4  # refill-shaped requests: doubling, the last one trimmed
-    while len(got) < demand:
-        got += stream.randoms(min(chunk, demand - len(got))).tolist()
-        chunk *= 2
-    assert got == [scalar.random() for _ in range(demand)]
-    assert len(calls) == transplants
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 623, 624, 625, 28_000])
+def test_draw_words_match_getrandbits(n):
+    """Word ``i`` is the ``i``-th ``getrandbits(32)`` draw, in order."""
+    scalar = random.Random(1234)
+    batched = random.Random(1234)
+    words = draw_words(batched, n)
+    assert words.dtype == np.uint32 and len(words) == n
+    assert words.tolist() == [scalar.getrandbits(32) for _ in range(n)]
+    assert batched.getstate() == scalar.getstate()
 
 
-def test_owned_stream_transplants_once(monkeypatch):
-    monkeypatch.setattr(rngkit, "_TRANSPLANT_AFTER", 40)
-    calls = _count_transplants(monkeypatch)
+def test_owned_stream_matches_scalar_across_chunks():
+    """Values equal scalar ``random()`` calls, and the generator ends each
+    request where that many calls leave it."""
     scalar = random.Random(7)
-    stream = OwnedStream(random.Random(7))
-    got: list = []
-    for n in (30, 0, 25, 1, 700, 0, 3):
+    rng = random.Random(7)
+    stream = OwnedStream(rng)
+    for n in (30, 0, 25, 1, 64, 128, 700, 0, 3):
         values = stream.randoms(n)
         assert values.dtype == np.float64 and len(values) == n
-        got += values.tolist()
-    assert got == [scalar.random() for _ in range(len(got))]
-    assert len(calls) == 1
-
-
-def test_owned_stream_does_not_write_back(monkeypatch):
-    """The run owns the stream: ``rng`` stays where the transplant found it."""
-    monkeypatch.setattr(rngkit, "_TRANSPLANT_AFTER", 10)
-    rng = random.Random(99)
-    stream = OwnedStream(rng)
-    stream.randoms(10)
-    state = rng.getstate()
-    stream.randoms(500)
-    assert rng.getstate() == state
-
-
-def test_mirror_invalidated_by_foreign_draw():
-    scalar = random.Random(9)
-    batched = random.Random(9)
-    write_back(batched, batched.getstate(), 16)
-    mirror = batched._rk_mirror[0]
-    for _ in range(16):
-        scalar.getrandbits(32)
-    # A draw the kit didn't make: the cached mirror is now stale and the
-    # state compare must force a fresh transplant, not reuse.
-    assert batched.random() == scalar.random()
-    write_back(batched, batched.getstate(), 16)
-    assert batched._rk_mirror[0] is not mirror
-    for _ in range(16):
-        scalar.getrandbits(32)
-    assert batched.getstate() == scalar.getstate()
-
-
-def test_write_back_mirror_is_reused_across_plans():
-    scalar = random.Random(77)
-    batched = random.Random(77)
-    write_back(batched, batched.getstate(), 64)
-    mirror = batched._rk_mirror[0]
-    # No foreign draw in between: the cached bit generator is reused.
-    write_back(batched, batched.getstate(), 128)
-    assert batched._rk_mirror[0] is mirror
-    for _ in range(192):
-        scalar.getrandbits(32)
-    assert batched.getstate() == scalar.getstate()
+        assert values.tolist() == [scalar.random() for _ in range(n)]
+        assert rng.getstate() == scalar.getstate()
 
 
 def test_peek_words_does_not_advance():
@@ -158,6 +97,19 @@ def test_write_back_advances_exactly():
 # ---------------------------------------------------------------------------
 
 
+def _addresses(stream, is_rand, rand_off):
+    """The addresses a plan stands for, from a cursor at 0."""
+    got = []
+    cursor = 0
+    for flag, off in zip(is_rand.tolist(), rand_off.tolist()):
+        if flag:
+            got.append(stream.base + off)
+        else:
+            got.append(stream.base + cursor)
+            cursor = (cursor + stream.behavior.stride) % stream._ws_bytes
+    return got
+
+
 @pytest.mark.parametrize(
     "behavior",
     [
@@ -173,17 +125,31 @@ def test_plan_stream_draws_matches_scalar(behavior):
     batched = AddressStream(behavior, base=1 << 20, seed=2026)
     expect = [scalar.next() for _ in range(n)]
     is_rand, rand_off = plan_stream_draws(batched, n)
-    got = []
-    cursor = 0
-    stride = behavior.stride
-    ws = batched._ws_bytes
-    for flag, off in zip(is_rand.tolist(), rand_off.tolist()):
-        if flag:
-            got.append(batched.base + off)
-        else:
-            got.append(batched.base + cursor)
-            cursor = (cursor + stride) % ws
-    assert got == expect
+    assert _addresses(batched, is_rand, rand_off) == expect
+    assert batched._rng.getstate() == scalar._rng.getstate()
+
+
+def test_plan_that_regrows_leaves_rng_where_scalar_draws_would(monkeypatch):
+    """A first parse that runs short draws on: the new words continue the
+    sequence, and the generator still ends where the scalar draws would."""
+    behavior = MemoryBehavior(working_set_kb=6, pattern="random", random_frac=0.4)
+    real = rngkit._parse_draws
+    seen = []
+
+    def short_first(w, *args):
+        seen.append(w.copy())
+        return real(w[:40] if len(seen) == 1 else w, *args)
+
+    monkeypatch.setattr(rngkit, "_parse_draws", short_first)
+    n = 300
+    scalar = AddressStream(behavior, base=1 << 20, seed=77)
+    batched = AddressStream(behavior, base=1 << 20, seed=77)
+    expect = [scalar.next() for _ in range(n)]
+    is_rand, rand_off = plan_stream_draws(batched, n)
+    assert len(seen) == 2
+    assert len(seen[1]) > len(seen[0])
+    assert seen[1][: len(seen[0])].tolist() == seen[0].tolist()
+    assert _addresses(batched, is_rand, rand_off) == expect
     assert batched._rng.getstate() == scalar._rng.getstate()
 
 
@@ -208,15 +174,7 @@ def test_plan_stream_draws_memory_per_access(n):
     finally:
         tracemalloc.stop()
     assert peak < 100 * n, peak / n
-    cursor = 0
-    got = []
-    for flag, off in zip(is_rand.tolist(), rand_off.tolist()):
-        if flag:
-            got.append(batched.base + off)
-        else:
-            got.append(batched.base + cursor)
-            cursor = (cursor + _FIELD_UPDATE.stride) % batched._ws_bytes
-    assert got == [scalar.next() for _ in range(n)]
+    assert _addresses(batched, is_rand, rand_off) == [scalar.next() for _ in range(n)]
     assert batched._rng.getstate() == scalar._rng.getstate()
 
 
@@ -264,22 +222,17 @@ def test_pattern_refill_matches_scalar_at_every_phase():
         assert model._pos == ref._pos
 
 
-def test_biased_refill_matches_scalar_stream(monkeypatch):
-    # The first chunk (64 values) draws scalar, the second transplants.
-    monkeypatch.setattr(rngkit, "_TRANSPLANT_AFTER", 100)
+def test_biased_refill_matches_scalar_stream():
     model = BiasedBranch(0.31, seed=11)
     ref = BiasedBranch(0.31, seed=11)
     _assert_outcomes(_two_chunks(_biased_outcomes(model, 7, 9)), ref)
-    # No write-back: the model's own Random stopped at the transplant.
-    at_transplant = BiasedBranch(0.31, seed=11)
-    for _ in range(64):
-        at_transplant.next_outcome(_HIST)
-    assert model._rng.getstate() == at_transplant._rng.getstate()
+    # The two chunks drew their words from the model's own Random, which
+    # sits where the 192 scalar draws leave the reference's.
+    assert model._rng.getstate() == ref._rng.getstate()
 
 
-def test_noise_flips_match_scalar_stream(monkeypatch):
+def test_noise_flips_match_scalar_stream():
     """A GlobalCorrelated branch's noise stream, flip for flip."""
-    monkeypatch.setattr(rngkit, "_TRANSPLANT_AFTER", 100)
     offsets = (0, 3, 15)
     model = GlobalCorrelatedBranch(offsets=offsets, noise=0.3, seed=5)
     ref = GlobalCorrelatedBranch(offsets=offsets, noise=0.3, seed=5)
@@ -289,10 +242,7 @@ def test_noise_flips_match_scalar_stream(monkeypatch):
     hist = GlobalHistory(depth=16)
     assert flips == [int(ref.next_outcome(hist)) for _ in range(_TWO_CHUNKS)]
     assert 0 < sum(flips) < _TWO_CHUNKS
-    at_transplant = GlobalCorrelatedBranch(offsets=offsets, noise=0.3, seed=5)
-    for _ in range(64):
-        at_transplant.next_outcome(hist)
-    assert model._rng.getstate() == at_transplant._rng.getstate()
+    assert model._rng.getstate() == ref._rng.getstate()
 
 
 @pytest.mark.parametrize("invert", [False, True])

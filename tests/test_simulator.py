@@ -1,5 +1,8 @@
 """End-to-end tests for the hybrid processor simulator."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.sim.results import (
@@ -39,6 +42,21 @@ class TestBasicRuns:
         simulator = HybridSimulator(SERVER, build_workload(tiny_profile))
         with pytest.raises(ValueError):
             simulator.run(0)
+
+    @pytest.mark.parametrize("mode", list(GatingMode), ids=lambda m: m.value)
+    def test_finished_run_is_freed_by_reference_counting(self, tiny_profile, mode):
+        """No reference cycle keeps a finished run's state alive until the
+        cyclic collector next runs: the PowerChop controller holds the
+        nucleus, and the nucleus holds the controller's handler weakly."""
+        gc.disable()
+        try:
+            simulator = HybridSimulator(SERVER, build_workload(tiny_profile), mode)
+            core = weakref.ref(simulator.core)
+            simulator.run(30_000)
+            del simulator
+            assert core() is None
+        finally:
+            gc.enable()
 
     def test_deterministic_replay(self, tiny_profile):
         a = run_simulation(SERVER, tiny_profile, GatingMode.FULL, 60_000)
