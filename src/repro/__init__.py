@@ -33,12 +33,9 @@ from repro.sim import (
     HybridSimulator,
     IPCSeriesProbe,
     JobRecord,
-    PhaseLogProbe,
     ResultCache,
     SimJob,
     SimulationResult,
-    StaticHintsProbe,
-    UnitActivityProbe,
     energy_reduction,
     leakage_reduction,
     power_reduction,
@@ -74,9 +71,6 @@ __all__ = [
     "ResultCache",
     "run_job",
     "IPCSeriesProbe",
-    "PhaseLogProbe",
-    "StaticHintsProbe",
-    "UnitActivityProbe",
     "StaticHints",
     "build_hints",
     "analyze_profile",

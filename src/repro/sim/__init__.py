@@ -14,14 +14,7 @@ from repro.sim.engine import (
     SimJob,
     run_job,
 )
-from repro.sim.probes import (
-    IPCSeriesProbe,
-    PhaseLogProbe,
-    ProbeSpec,
-    ProbeState,
-    StaticHintsProbe,
-    UnitActivityProbe,
-)
+from repro.sim.probes import IPCSeriesProbe, ProbeSpec, ProbeState
 from repro.sim.sweep import (
     sweep_powerchop_thresholds,
     sweep_signature_lengths,
@@ -46,9 +39,6 @@ __all__ = [
     "ProbeSpec",
     "ProbeState",
     "IPCSeriesProbe",
-    "PhaseLogProbe",
-    "StaticHintsProbe",
-    "UnitActivityProbe",
     "sweep_powerchop_thresholds",
     "sweep_timeout_periods",
     "sweep_window_sizes",

@@ -12,20 +12,20 @@ and is enforced by the three-way equivalence suite in
 
 Built-in backends:
 
-- ``reference``  — the probe-ful loop: materialises every
-  :class:`BlockExec`, calls each component through its public method.  The
-  correctness oracle, and the only loop that supports probes.
+- ``reference``  — one plain loop: materialises every :class:`BlockExec`
+  and calls each component through its public method.  The correctness
+  oracle, and the only loop that calls probes.
 - ``fastpath``   — the fused loop of :mod:`repro.sim.backends.fastpath`:
   per-access, but with inlined component hot paths, batched monotonic
   counters and memoized same-line block replay.  It runs fully traced
   ``vectorized`` runs.
-- ``vectorized`` — :mod:`repro.sim.backends.vectorized` (requires numpy;
-  the default): records each burst's block trace once with a lean scalar
-  pass that also resolves its branches through the predictor, then
-  evaluates the burst's timing, cache behaviour, RNG-driven address draws
-  and (in TIMEOUT mode) the VPU timeout controller as batched array
-  kernels.  Probe runs, and hierarchies whose levels differ in line size,
-  delegate to ``reference``; fully traced runs go to ``fastpath``.
+- ``vectorized`` — :mod:`repro.sim.backends.vectorized` (the default):
+  records each burst's block trace once with a lean scalar pass that also
+  resolves its branches through the predictor, then evaluates the burst's
+  timing, cache behaviour, RNG-driven address draws and (in TIMEOUT mode)
+  the VPU timeout controller as batched array kernels.  Probe runs, and
+  hierarchies whose levels differ in line size, delegate to
+  ``reference``; fully traced runs go to ``fastpath``.
 
 Selection rules: ``HybridSimulator(backend="...")`` resolves a name
 through :func:`get_backend`; ``None`` selects :data:`DEFAULT_BACKEND`.
@@ -43,19 +43,18 @@ into ``simulator.py``.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    Protocol,
+    Sequence,
+    Tuple,
+    runtime_checkable,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.simulator import HybridSimulator
-
-try:  # pragma: no cover - Protocol is stdlib on every supported version
-    from typing import Protocol, runtime_checkable
-except ImportError:  # pragma: no cover - very old pythons only
-    Protocol = object  # type: ignore[assignment]
-
-    def runtime_checkable(cls):  # type: ignore[misc]
-        return cls
-
 
 __all__ = [
     "SimBackend",
@@ -80,8 +79,11 @@ class SimBackend(Protocol):
     the (freshly constructed, single-use) simulator and returns total
     cycles; on return every component counter, the BT walk state and the
     workload's stream cursors must hold exactly the values the reference
-    loop would have left.  ``needs_replay_state`` tells the simulator to
-    create a :class:`FastPathState` and attach it as
+    loop would have left.  ``probes`` are
+    :class:`~repro.sim.probes.ProbeState` observers whose ``on_block`` runs
+    after every executed block; only ``reference`` calls them, and every
+    other backend hands a run with probes to it.  ``needs_replay_state``
+    tells the simulator to create a :class:`FastPathState` and attach it as
     ``core.fastpath_listener`` before the run.
     """
 
@@ -117,7 +119,6 @@ class FastPathState:
         "phase_resets",
         "bursts_recorded",
         "blocks_vectorized",
-        "blocks_fallback",
         "pass_a_seconds",
         "pass_b_seconds",
         "scalar_seconds",
@@ -133,11 +134,9 @@ class FastPathState:
         self.policy_resets = 0
         self.phase_resets = 0
         #: Vectorized-backend statistics (always zero under ``fastpath``):
-        #: recorded bursts, blocks evaluated by batch kernels, and blocks
-        #: that took the per-access fallback loop instead.
+        #: recorded bursts and blocks evaluated by batch kernels.
         self.bursts_recorded = 0
         self.blocks_vectorized = 0
-        self.blocks_fallback = 0
         #: Wall-clock split of the vectorized run loop (pass A = recording
         #: walk, pass B = array flushes, scalar = window-boundary blocks);
         #: reported by ``scripts/profile_simulator.py --breakdown``.
@@ -183,8 +182,7 @@ def available_backends() -> Tuple[str, ...]:
 def get_backend(name: str) -> SimBackend:
     """Resolve a backend name to its (memoised) instance.
 
-    Raises ``ValueError`` for unknown names, or ``RuntimeError`` when the
-    backend exists but its optional dependency is missing.
+    Raises ``ValueError`` for unknown names.
     """
     instance = _INSTANCES.get(name)
     if instance is not None:
@@ -223,13 +221,8 @@ def _make_fastpath() -> SimBackend:
 
 
 def _make_vectorized() -> SimBackend:
-    try:
-        from repro.sim.backends.vectorized import VectorizedBackend
-    except ImportError as exc:  # pragma: no cover - numpy is a baked-in dep
-        raise RuntimeError(
-            "the 'vectorized' backend requires numpy; install it or select "
-            "backend='fastpath'"
-        ) from exc
+    from repro.sim.backends.vectorized import VectorizedBackend
+
     return VectorizedBackend()
 
 

@@ -100,10 +100,10 @@ class FastPathBackend:
 def run_fast(simulator: "HybridSimulator", max_instructions: int) -> float:
     """Run the fused fast-path loop; returns total cycles.
 
-    Drop-in replacement for the probe-free body of
-    :meth:`HybridSimulator.run` — on return every component counter, the
-    BT walk state, and the workload's address-stream cursors hold exactly
-    the values the reference loop would have left.
+    Drop-in replacement for the ``reference`` loop on a run without
+    probes — on return every component counter, the BT walk state, and
+    the workload's address-stream cursors hold exactly the values the
+    reference loop would have left.
     """
     workload = simulator.workload
     core = simulator.core

@@ -8,11 +8,11 @@ loop *defines* the simulator's semantics.  The ``fastpath`` and
 ``vectorized`` backends are proven bit-identical against it by
 ``tests/test_backends.py``.
 
-Two bodies share the file: a tight loop for probe-free runs with tracing
-off (the pre-observability hot path, unchanged), and the probe-ful loop
-that keeps the tracer clock current and delivers per-block / per-window
-probe callbacks.  This is the only backend that supports probes; the
-others delegate probe-carrying runs here.
+One loop body serves every run.  It keeps the tracer clock current on
+every block (only emit sites guarded by ``tracer.active`` read it) and
+calls each probe's ``on_block`` when probes are attached.  This is the
+only backend that supports probes; the others delegate probe-carrying
+runs here.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 class ReferenceBackend:
-    """Probe-ful reference loop (see module docstring)."""
+    """The reference loop (see module docstring)."""
 
     name = "reference"
     needs_replay_state = False
@@ -47,39 +47,20 @@ class ReferenceBackend:
         interpreted = ExecMode.INTERPRETED
         cycles = 0.0
 
-        if not probes and not tracer.active:
-            # The reference tight loop: identical to the pre-observability
-            # hot path (the tracer costs nothing here; instrumented
-            # components pay one dead branch each at most).
-            for block_exec in simulator.workload.trace(max_instructions):
-                if timeout_controller is not None:
-                    cycles += timeout_controller.on_block(block_exec, cycles)
-                exec_mode, bt_cycles, entered = on_block(block_exec.block)
-                cycles += bt_cycles
-                if entered is not None and controller is not None:
-                    cycles += controller.on_translation_entry(entered, cycles)
-                cycles += execute_block(block_exec, exec_mode is interpreted)
-        else:
-            for probe in probes:
-                probe.attach(simulator)
-            windows_seen = controller.windows_seen if controller else 0
-            for block_exec in simulator.workload.trace(max_instructions):
-                # Keep the tracer clock current so components without a
-                # cycle count in scope can still timestamp their events.
-                tracer.now = cycles
-                if timeout_controller is not None:
-                    cycles += timeout_controller.on_block(block_exec, cycles)
-                exec_mode, bt_cycles, entered = on_block(block_exec.block)
-                cycles += bt_cycles
-                if entered is not None and controller is not None:
-                    cycles += controller.on_translation_entry(entered, cycles)
-                cycles += execute_block(block_exec, exec_mode is interpreted)
+        for block_exec in simulator.workload.trace(max_instructions):
+            # Keep the tracer clock current so components without a cycle
+            # count in scope can still timestamp their events.
+            tracer.now = cycles
+            if timeout_controller is not None:
+                cycles += timeout_controller.on_block(block_exec, cycles)
+            exec_mode, bt_cycles, entered = on_block(block_exec.block)
+            cycles += bt_cycles
+            if entered is not None and controller is not None:
+                cycles += controller.on_translation_entry(entered, cycles)
+            cycles += execute_block(block_exec, exec_mode is interpreted)
+            if probes:
                 instructions = core.counters.instructions
                 for probe in probes:
                     probe.on_block(block_exec, cycles, instructions)
-                if controller is not None and controller.windows_seen != windows_seen:
-                    windows_seen = controller.windows_seen
-                    for probe in probes:
-                        probe.on_window(windows_seen, cycles)
 
         return cycles

@@ -37,7 +37,6 @@ end state) is pinned by ``tests/test_rngkit.py``.
 from __future__ import annotations
 
 import math
-import random
 from typing import Tuple
 
 import numpy as np
@@ -45,7 +44,6 @@ import numpy as np
 __all__ = [
     "OwnedStream",
     "draw_words",
-    "peek_words",
     "write_back",
     "plan_stream_draws",
 ]
@@ -65,13 +63,6 @@ def draw_words(rng, n: int) -> np.ndarray:
     if n <= 0:
         return _EMPTY_U32
     return np.frombuffer(rng.getrandbits(32 * n).to_bytes(4 * n, "little"), "<u4")
-
-
-def peek_words(state, n: int) -> np.ndarray:
-    """The ``n`` 32-bit outputs following a ``getstate()`` tuple."""
-    rng = random.Random()
-    rng.setstate(state)
-    return draw_words(rng, n)
 
 
 def write_back(rng, state, n_words: int) -> None:

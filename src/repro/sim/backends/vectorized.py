@@ -609,12 +609,12 @@ class VectorizedBackend:
 def run_vectorized(simulator: "HybridSimulator", max_instructions: int) -> float:
     """Run the two-pass burst loop; returns total cycles.
 
-    Drop-in replacement for the probe-free body of
-    :meth:`HybridSimulator.run` — on return every component counter, the
-    BT walk state, and the workload's address-stream cursors hold exactly
-    the values the reference loop would have left.  Every cache level must
-    share the L1's line size (:func:`_uniform_lines`), so one line index
-    probes them all.
+    Drop-in replacement for the ``reference`` loop on a run without
+    probes — on return every component counter, the BT walk state, and
+    the workload's address-stream cursors hold exactly the values the
+    reference loop would have left.  Every cache level must share the
+    L1's line size (:func:`_uniform_lines`), so one line index probes them
+    all.
     """
     workload = simulator.workload
     core = simulator.core

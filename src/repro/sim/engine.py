@@ -4,14 +4,16 @@ This is the single way to describe, instrument, run and cache simulations:
 
 - :class:`SimJob` — a frozen, hashable description of one run (benchmark or
   inline profile, design point, gating mode, PowerChop configuration,
-  instruction budget, seed, probe set) with a stable content-hash
+  instruction budget, seed, and what to observe: the phase log, the
+  ``obs_level`` and the probe set) with a stable content-hash
   :meth:`~SimJob.key`;
 - :func:`execute_job` — run one job from scratch (also the process-pool
   worker function, so everything a job references must be picklable);
 - :func:`run_job` — execute with two cache layers: a per-process memo (so
   repeated calls return the *same* objects) and a persistent on-disk JSON
   :class:`ResultCache` keyed by job hash, salted by the package version
-  and :data:`RESULT_SEMANTICS_VERSION`;
+  and :data:`RESULT_SEMANTICS_VERSION` (an entry written under another
+  :data:`CACHE_SCHEMA_VERSION` reads as a miss);
 - :func:`run_analysis` — the same two layers for a deterministic workload
   analysis (a read-only walk such as a shard histogram): it runs once and
   its JSON value is replayed afterwards.
@@ -39,7 +41,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.core.config import PowerChopConfig
 from repro.obs.tracer import OBS_LEVELS
 from repro.sim.backends import resolve_backend_name
-from repro.sim.probes import MetricsProbe, PhaseLogProbe, ProbeSpec, TraceProbe
+from repro.sim.probes import ProbeSpec
 from repro.sim.results import SimulationResult
 from repro.sim.simulator import GatingMode, HybridSimulator
 from repro.uarch.config import DesignPoint, design_for_suite
@@ -49,13 +51,11 @@ from repro.workloads.suites import get_profile
 __all__ = [
     "NON_KEY_FIELDS",
     "RESULT_SEMANTICS_VERSION",
-    "SCHEMA_MIGRATIONS",
     "SimJob",
     "JobRecord",
     "ResultCache",
     "execute_job",
     "failed_record",
-    "register_schema_migration",
     "run_analysis",
     "run_job",
     "clear_memo",
@@ -65,14 +65,15 @@ __all__ = [
 ]
 
 #: Bump when the cache payload schema changes (a change in what jobs
-#: compute bumps :data:`RESULT_SEMANTICS_VERSION` instead); entries written
-#: under an older schema are fed through the :data:`SCHEMA_MIGRATIONS`
-#: chain on read and treated as misses only when no chain reaches the
-#: current version.  v2: POWERCHOP results gained the static-pre-pass
-#: counters in ``extra``.  v3: results gained the ``metrics`` registry
-#: snapshot (``repro.obs.metrics``, ``METRICS_SCHEMA_VERSION``) and jobs
-#: the ``obs_level`` field.  v4: jobs gained the ``backend`` field
-#: (excluded from the key — see ``NON_KEY_FIELDS``).
+#: compute bumps :data:`RESULT_SEMANTICS_VERSION` instead).  Every entry
+#: records the schema it was written under; :class:`ResultCache` treats an
+#: entry of any other schema as a miss, and the next ``put`` of that key
+#: rewrites it under the current one.  v2: POWERCHOP results gained the
+#: static-pre-pass counters in ``extra``.  v3: results gained the
+#: ``metrics`` registry snapshot (``repro.obs.metrics``,
+#: ``METRICS_SCHEMA_VERSION``) and jobs the ``obs_level`` field.  v4: jobs
+#: gained the ``backend`` field (excluded from the key — see
+#: ``NON_KEY_FIELDS``).
 CACHE_SCHEMA_VERSION = 4
 
 #: Bump whenever a code change alters what any job or analysis computes
@@ -84,29 +85,6 @@ CACHE_SCHEMA_VERSION = 4
 #: captured under, and ``scripts/update_goldens.py`` refuses to rewrite a
 #: fixture whose decisions changed while the recorded value is current.
 RESULT_SEMANTICS_VERSION = 1
-
-#: Schema-version migration hooks: ``{from_version: fn(payload) -> payload}``.
-#: Each hook receives the raw JSON payload of an entry (a job record, or a
-#: :func:`run_analysis` value under ``"value"``) written under
-#: ``from_version`` and must return a payload valid under a *newer*
-#: version, with its ``"schema"`` field updated.  :class:`ResultCache` reads
-#: chain hooks until the payload reaches ``CACHE_SCHEMA_VERSION`` (or no
-#: hook applies — then the entry is a miss).  The schema version is
-#: deliberately *not* part of :meth:`SimJob.key`, so a bump alone does not
-#: orphan entries — registering a migration keeps them readable.
-SCHEMA_MIGRATIONS: Dict[int, Callable[[Dict[str, Any]], Dict[str, Any]]] = {}
-
-
-def register_schema_migration(
-    from_version: int,
-) -> Callable[[Callable[[Dict[str, Any]], Dict[str, Any]]], Callable[[Dict[str, Any]], Dict[str, Any]]]:
-    """Decorator registering a cache payload migration from ``from_version``."""
-
-    def _register(fn: Callable[[Dict[str, Any]], Dict[str, Any]]):
-        SCHEMA_MIGRATIONS[from_version] = fn
-        return fn
-
-    return _register
 
 #: Job fields deliberately EXCLUDED from :meth:`SimJob.key`.  Two kinds of
 #: member:
@@ -189,6 +167,12 @@ class SimJob:
             raise ValueError(
                 f"obs_level must be one of {OBS_LEVELS}, got {self.obs_level!r}"
             )
+        # execute_job keys JobRecord.probes by name, so a second probe of
+        # the same name would silently replace the first one's value.
+        names = [spec.name for spec in self.probes]
+        duplicates = sorted({name for name in names if names.count(name) > 1})
+        if duplicates:
+            raise ValueError(f"duplicate probe names {duplicates}")
         # Validates the name at job-construction time rather than inside
         # a worker.
         resolve_backend_name(self.backend)
@@ -218,30 +202,9 @@ class SimJob:
         config = self.powerchop_config or PowerChopConfig(
             managed_units=self.managed_units
         )
-        wants_log = self.collect_phase_log or any(
-            isinstance(spec, PhaseLogProbe) for spec in self.probes
-        )
-        if wants_log and not config.collect_phase_vectors:
+        if self.collect_phase_log and not config.collect_phase_vectors:
             config = replace(config, collect_phase_vectors=True)
         return config
-
-    def resolve_obs_level(self) -> str:
-        """The observability level the run actually needs.
-
-        A :class:`~repro.sim.probes.TraceProbe` requires the full event
-        stream, and a :class:`~repro.sim.probes.MetricsProbe` at least the
-        registry snapshot, so either raises the job's declared level.
-        """
-        level = self.obs_level
-        if level != "full" and any(
-            isinstance(spec, TraceProbe) for spec in self.probes
-        ):
-            level = "full"
-        if level == "off" and any(
-            isinstance(spec, MetricsProbe) for spec in self.probes
-        ):
-            level = "metrics"
-        return level
 
     # ---------------------------------------------------------------- key
 
@@ -256,8 +219,9 @@ class SimJob:
         :data:`RESULT_SEMANTICS_VERSION` salt the hash so old cache entries
         never alias new semantics.  The cache *schema* version is
         deliberately not in the key: entries carry it in-file instead, so
-        a schema bump with a registered :data:`SCHEMA_MIGRATIONS` hook
-        keeps old entries readable under the same key.
+        after a schema bump a job keeps its key, its old entry reads as a
+        miss, and the next ``put`` overwrites that entry in place rather
+        than leaving an orphan beside it.
         """
         parts = (
             f"version={_code_version()}",
@@ -273,7 +237,7 @@ class SimJob:
             f"seed={self.seed!r}",
             f"phase_log={self.collect_phase_log!r}",
             f"probes={self.probes!r}",
-            f"obs={self.resolve_obs_level()}",
+            f"obs={self.obs_level}",
             f"tag={self.cache_tag}",
         )
         return hashlib.sha256("\n".join(parts).encode()).hexdigest()
@@ -322,7 +286,7 @@ def execute_job(job: SimJob) -> JobRecord:
         mode=job.mode,
         powerchop_config=job.resolve_config(),
         timeout_cycles=job.timeout_cycles,
-        obs_level=job.resolve_obs_level(),
+        obs_level=job.obs_level,
         backend=job.backend,
     )
     if job.configure is not None:
@@ -365,10 +329,9 @@ class ResultCache:
     ``REPRO_CACHE=0`` disables reads and writes.  Entries are invalidated
     implicitly: the package version and :data:`RESULT_SEMANTICS_VERSION`
     salt every key, and any config change alters the key.  Corrupt,
-    malformed or unreadable entries are treated as misses.  Entries
-    written under an older ``CACHE_SCHEMA_VERSION`` are run through the
-    :data:`SCHEMA_MIGRATIONS` chain; an entry no chain can bring current
-    is a miss.
+    malformed or unreadable entries are treated as misses, and so is an
+    entry written under any ``CACHE_SCHEMA_VERSION`` but the current one;
+    the next ``put`` of its key rewrites it under the current schema.
 
     Lifecycle: ``budget_bytes`` (default ``REPRO_CACHE_BUDGET``; 0 =
     unbounded) caps the total on-disk size.  Every ``put`` evicts
@@ -422,28 +385,17 @@ class ResultCache:
         except OSError:
             pass  # entry raced away; the next get is simply a miss
 
-    def _migrate(self, data: Dict[str, Any]) -> Dict[str, Any]:
-        """Chain :data:`SCHEMA_MIGRATIONS` until ``data`` is current."""
-        seen = set()
-        while data.get("schema") != CACHE_SCHEMA_VERSION:
-            version = data.get("schema")
-            hook = SCHEMA_MIGRATIONS.get(version)
-            if hook is None or version in seen:
-                raise ValueError(f"no migration path from schema {version!r}")
-            seen.add(version)
-            data = hook(data)
-        return data
-
     def _read(
         self, key: str, decode: Callable[[Dict[str, Any]], Any], default: Any = None
     ) -> Any:
         """Decode the entry at ``key``, or return ``default`` on a miss.
 
-        Shared by both entry kinds.  An unreadable file, invalid JSON, an
-        unmigratable schema, or JSON of the wrong shape makes the entry a
-        miss: a missing field raises ``KeyError``, and a value of the wrong
-        kind where an object is expected (the entry itself, or a field
-        ``decode`` reads) raises ``AttributeError`` or ``TypeError``.
+        Shared by both entry kinds.  An unreadable file, invalid JSON, a
+        schema other than :data:`CACHE_SCHEMA_VERSION`, or JSON of the wrong
+        shape makes the entry a miss: a missing field raises ``KeyError``,
+        and a value of the wrong kind where an object is expected (the
+        entry itself, or a field ``decode`` reads) raises
+        ``AttributeError`` or ``TypeError``.
         """
         if not self.enabled:
             return default
@@ -451,7 +403,9 @@ class ResultCache:
         try:
             with open(path) as handle:
                 data = json.load(handle)
-            value = decode(self._migrate(data))
+            if data.get("schema") != CACHE_SCHEMA_VERSION:
+                raise ValueError(f"cache schema {data.get('schema')!r}")
+            value = decode(data)
         except (OSError, ValueError, KeyError, TypeError, AttributeError):
             self.misses += 1
             return default

@@ -13,13 +13,13 @@ them and survives production-scale ones:
 - :class:`RetryPolicy` — declarative backoff policy;
 - :class:`JobStatus` / :class:`FabricEvent` — the streamed status model;
 - cache lifecycle services (:func:`cache_stats`, :func:`gc_cache`) over
-  the engine cache's LRU budget, counters and schema migrations.
+  the engine cache's LRU budget and counters.
 
 Callers: :mod:`repro.sim.sweep`, ``python -m repro sweep`` and
 ``python -m repro fabric submit|status|gc``.
 """
 
-from repro.sim.fabric.cache import cache_stats, gc_cache, register_schema_migration
+from repro.sim.fabric.cache import cache_stats, gc_cache
 from repro.sim.fabric.pool import PoolUnavailable, RestartablePool
 from repro.sim.fabric.retry import DEFAULT_RETRY_POLICY, RetryPolicy
 from repro.sim.fabric.scheduler import DEFAULT_SHARD_SIZE, FabricScheduler
@@ -43,5 +43,4 @@ __all__ = [
     "TERMINAL_STATUSES",
     "cache_stats",
     "gc_cache",
-    "register_schema_migration",
 ]

@@ -1,9 +1,9 @@
 """Cache lifecycle services for the sweep fabric.
 
 The mechanics — LRU eviction against a size budget, hit/miss/eviction
-counters, and the :data:`~repro.sim.engine.SCHEMA_MIGRATIONS` chain that
-keeps old-schema entries readable across a ``CACHE_SCHEMA_VERSION`` bump
-— live on :class:`repro.sim.engine.ResultCache` itself, so every cache
+counters, and the schema rule (an entry written under another
+``CACHE_SCHEMA_VERSION`` is a miss that the next ``put`` rewrites) —
+live on :class:`repro.sim.engine.ResultCache` itself, so every cache
 user (``run_job``, ``run_analysis``, the fabric scheduler) gets them.
 This module adds the service-level operations the ``python -m repro
 fabric`` CLI exposes: a stats report and an explicit garbage-collection
@@ -25,18 +25,9 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional
 
-from repro.sim.engine import (
-    SCHEMA_MIGRATIONS,
-    ResultCache,
-    register_schema_migration,
-)
+from repro.sim.engine import ResultCache
 
-__all__ = [
-    "SCHEMA_MIGRATIONS",
-    "cache_stats",
-    "gc_cache",
-    "register_schema_migration",
-]
+__all__ = ["cache_stats", "gc_cache"]
 
 
 def cache_stats(cache: Optional[ResultCache] = None) -> Dict[str, Any]:

@@ -40,6 +40,7 @@ import asyncio
 import pickle
 import random
 import time
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -66,13 +67,7 @@ DEFAULT_SHARD_SIZE = 32
 #: itself is broken": a poisoned pool breaks every in-flight future, and a
 #: pool restart (after a crash or a timeout elsewhere in the shard)
 #: cancels queued ones.  Both are retried against a fresh pool.
-_POOL_CASUALTIES: tuple = (asyncio.CancelledError,)
-try:  # BrokenProcessPool lives in a private-ish module; import defensively
-    from concurrent.futures.process import BrokenProcessPool
-
-    _POOL_CASUALTIES = (BrokenProcessPool, asyncio.CancelledError)
-except ImportError:  # pragma: no cover - always present on CPython
-    pass
+_POOL_CASUALTIES = (BrokenProcessPool, asyncio.CancelledError)
 
 
 def _is_picklable(job: SimJob) -> bool:

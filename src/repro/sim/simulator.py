@@ -135,10 +135,9 @@ class HybridSimulator:
         """Execute up to ``max_instructions`` guest instructions.
 
         ``probes`` are :class:`~repro.sim.probes.ProbeState` observers: each
-        gets ``attach`` before the first block, ``on_block`` after every
-        executed block, ``on_window`` at each completed PowerChop window,
-        and ``finish`` once the result is built.  The probe-free path stays
-        a tight loop.
+        gets ``on_block`` after every executed block and ``finish`` once the
+        result is built.  A run with probes executes on the ``reference``
+        loop, whichever backend was selected.
         """
         if self._ran:
             raise RuntimeError("HybridSimulator instances are single-use")

@@ -300,7 +300,6 @@ def test_vectorized_records_bursts_on_deterministic_streams():
     state = sim.fastpath_state
     assert state.bursts_recorded > 0
     assert state.blocks_vectorized > 0
-    assert state.blocks_fallback == 0
 
 
 def test_vectorized_batches_random_streams():
@@ -313,7 +312,6 @@ def test_vectorized_batches_random_streams():
     state = sim.fastpath_state
     assert state.bursts_recorded > 0
     assert state.blocks_vectorized > 0
-    assert state.blocks_fallback == 0
 
 
 def test_vectorized_idle_windows_extend_bursts():
@@ -721,7 +719,7 @@ def test_fold_cycles_replays_the_timeout_controller_on_ties(seed):
 
 
 def test_vectorized_probe_runs_delegate_to_reference():
-    from repro.sim.probes import MetricsProbe
+    from repro.sim.probes import IPCSeriesProbe
 
     ref_sim, ref = _run("bzip2", GatingMode.POWERCHOP, "reference")
     profile = get_profile("bzip2")
@@ -732,7 +730,7 @@ def test_vectorized_probe_runs_delegate_to_reference():
         powerchop_config=_QUICK,
         backend="vectorized",
     )
-    probe = MetricsProbe().build()
+    probe = IPCSeriesProbe().build()
     result = sim.run(120_000, probes=(probe,))
     assert result.to_dict() == ref.to_dict()
     assert sim.fastpath_state.bursts_recorded == 0  # reference loop ran

@@ -15,7 +15,7 @@ from repro.sim.engine import (
     run_job,
 )
 from repro.sim.fabric import FabricScheduler
-from repro.sim.probes import IPCSeriesProbe, PhaseLogProbe, UnitActivityProbe
+from repro.sim.probes import IPCSeriesProbe
 from repro.sim.results import SimulationResult
 from repro.sim.simulator import GatingMode, HybridSimulator
 from repro.uarch.config import MOBILE, SERVER, design_for_suite
@@ -302,32 +302,28 @@ class TestProbes:
             benchmark="hmmer",
             mode=GatingMode.POWERCHOP,
             max_instructions=80_000,
-            probes=(IPCSeriesProbe(sample_instructions=20_000), PhaseLogProbe()),
+            collect_phase_log=True,
+            probes=(IPCSeriesProbe(sample_instructions=20_000),),
         )
         cache = ResultCache()
         record = run_job(job, cache=cache)
         assert len(record.probes["ipc_series"]) >= 3
-        assert record.probes["phase_log"]  # collect_phase_vectors auto-enabled
+        assert record.phase_log  # collect_phase_vectors auto-enabled
         engine.clear_memo()
         warm = run_job(job, cache=ResultCache())
         assert warm.from_cache
         assert warm.probes["ipc_series"] == record.probes["ipc_series"]
+        assert warm.phase_log == record.phase_log
 
-    def test_unit_activity_probe_samples_windows(self):
-        config = PowerChopConfig(window_size=200, warmup_windows=2)
-        job = SimJob(
-            benchmark="hmmer",
-            mode=GatingMode.POWERCHOP,
-            powerchop_config=config,
-            max_instructions=120_000,
-            probes=(UnitActivityProbe(),),
-        )
-        record = execute_job(job)
-        samples = record.probes["unit_activity"]
-        assert len(samples) == record.result.windows
-        cycles = [sample[0] for sample in samples]
-        assert cycles == sorted(cycles)
-        assert all(sample[3] >= 1 for sample in samples)
+    def test_duplicate_probe_names_rejected(self):
+        # JobRecord.probes is keyed by name: a second "ipc_series" would
+        # silently replace the first series.
+        with pytest.raises(ValueError, match="ipc_series"):
+            SimJob(
+                benchmark="hmmer",
+                max_instructions=60_000,
+                probes=(IPCSeriesProbe(10_000), IPCSeriesProbe(20_000)),
+            )
 
     def test_probe_set_changes_job_key(self):
         plain = SimJob(benchmark="hmmer", max_instructions=50_000)

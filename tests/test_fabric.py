@@ -17,6 +17,7 @@ Covers the acceptance matrix for the fabric, the engine's batch runner:
   lists the cache directory.
 """
 
+import json
 import os
 import random
 import threading
@@ -260,68 +261,35 @@ class TestCacheLifecycle:
         assert evictions > 0 and hits > 0 and misses > 0  # the run was interesting
 
 
-# ------------------------------------------------------- schema migration
+# ----------------------------------------------------------- cache schema
 
 
-class TestSchemaMigration:
-    @pytest.fixture(autouse=True)
-    def _pristine_migrations(self):
-        saved = dict(engine.SCHEMA_MIGRATIONS)
-        engine.SCHEMA_MIGRATIONS.clear()
-        yield
-        engine.SCHEMA_MIGRATIONS.clear()
-        engine.SCHEMA_MIGRATIONS.update(saved)
-
-    def test_v4_records_readable_after_bump_via_migration(
+class TestCacheSchema:
+    def test_other_schema_entry_is_a_miss_and_next_put_rewrites_it(
         self, monkeypatch, tmp_path, template_record
     ):
-        cache = ResultCache(root=tmp_path / "mig")
+        cache = ResultCache(root=tmp_path / "schema")
         old_version = engine.CACHE_SCHEMA_VERSION
         job = SimJob(benchmark="hmmer", max_instructions=20_000)
         key = job.key()
         cache.put(key, template_record)
+        cache.put_value("analysis", [1, 2])
 
         monkeypatch.setattr(engine, "CACHE_SCHEMA_VERSION", old_version + 1)
         assert job.key() == key, "schema version must not salt the job key"
-        assert cache.get(key) is None, "no migration registered -> miss"
+        assert cache.get(key) is None, "an entry of another schema is a miss"
+        assert cache.get_value("analysis", "miss") == "miss"
+        assert (cache.hits, cache.misses) == (0, 2)
 
-        @engine.register_schema_migration(old_version)
-        def _up(payload):
-            payload = dict(payload)
-            payload["schema"] = old_version + 1
-            return payload
-
-        migrated = cache.get(key)
-        assert migrated is not None
-        assert migrated.from_cache
-        assert migrated.result.to_dict() == template_record.result.to_dict()
-
-    def test_migration_chain_and_cycle_guard(
-        self, monkeypatch, tmp_path, template_record
-    ):
-        cache = ResultCache(root=tmp_path / "chain")
-        old_version = engine.CACHE_SCHEMA_VERSION
-        cache.put("k", template_record)
-        monkeypatch.setattr(engine, "CACHE_SCHEMA_VERSION", old_version + 2)
-
-        @engine.register_schema_migration(old_version)
-        def _one(payload):
-            return {**payload, "schema": old_version + 1}
-
-        assert cache.get("k") is None  # chain stops one short -> miss
-
-        @engine.register_schema_migration(old_version + 1)
-        def _two(payload):
-            return {**payload, "schema": old_version + 2}
-
-        assert cache.get("k") is not None  # full chain now reaches current
-
-        # A migration that loops forever must be detected, not spin.
-        @engine.register_schema_migration(old_version + 1)
-        def _loop(payload):
-            return {**payload, "schema": old_version}
-
-        assert cache.get("k") is None
+        cache.put(key, template_record)
+        entry = json.loads((tmp_path / "schema" / f"{key}.json").read_text())
+        assert entry["schema"] == old_version + 1
+        rewritten = cache.get(key)
+        assert rewritten is not None and rewritten.from_cache
+        assert rewritten.result.to_dict() == template_record.result.to_dict()
+        # Rewritten in place under the same key: no orphan beside it.
+        names = sorted(path.name for path, _mtime, _size in cache.entries())
+        assert names == sorted([f"{key}.json", "analysis.json"])
 
 
 # --------------------------------------------------------- the scheduler

@@ -29,7 +29,6 @@ from repro.sim.backends import rngkit
 from repro.sim.backends.rngkit import (
     OwnedStream,
     draw_words,
-    peek_words,
     plan_stream_draws,
     write_back,
 )
@@ -69,14 +68,6 @@ def test_owned_stream_matches_scalar_across_chunks():
         assert values.dtype == np.float64 and len(values) == n
         assert values.tolist() == [scalar.random() for _ in range(n)]
         assert rng.getstate() == scalar.getstate()
-
-
-def test_peek_words_does_not_advance():
-    rng = random.Random(5)
-    state = rng.getstate()
-    peeked = peek_words(state, 64)
-    assert rng.getstate() == state
-    assert peeked.tolist() == [rng.getrandbits(32) for _ in range(64)]
 
 
 def test_write_back_advances_exactly():

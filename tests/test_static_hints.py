@@ -11,7 +11,6 @@ import pytest
 
 from repro.core.cde import CriticalityDecisionEngine, WindowStats
 from repro.core.config import PowerChopConfig
-from repro.sim.probes import StaticHintsProbe
 from repro.sim.simulator import GatingMode, HybridSimulator
 from repro.staticcheck import StaticHints, build_hints, summarize_region
 from repro.uarch.config import SERVER, design_for_suite
@@ -152,7 +151,8 @@ class TestCDEWithHints:
         assert cde.hints is None
 
 
-def run_once(benchmark, *, hints, n=600_000, probe=True):
+def run_once(benchmark, *, hints, n=600_000):
+    """One POWERCHOP run on the reference loop, and its CDE."""
     profile = get_profile(benchmark)
     config = PowerChopConfig(use_static_hints=hints)
     simulator = HybridSimulator(
@@ -160,31 +160,31 @@ def run_once(benchmark, *, hints, n=600_000, probe=True):
         build_workload(profile),
         GatingMode.POWERCHOP,
         powerchop_config=config,
+        backend="reference",
     )
-    state = StaticHintsProbe().build()
-    result = simulator.run(n, probes=[state] if probe else ())
-    return result, state.value()
+    result = simulator.run(n)
+    return result, simulator.controller.cde
 
 
 class TestEndToEnd:
     @pytest.fixture(scope="class")
     def hmmer_ab(self):
-        baseline, base_data = run_once("hmmer", hints=False)
-        hinted, hint_data = run_once("hmmer", hints=True)
-        return baseline, base_data, hinted, hint_data
+        baseline, base_cde = run_once("hmmer", hints=False)
+        hinted, hint_cde = run_once("hmmer", hints=True)
+        return baseline, base_cde, hinted, hint_cde
 
     def test_hints_skip_profiling_windows(self, hmmer_ab):
-        _baseline, base_data, hinted, hint_data = hmmer_ab
-        assert base_data["enabled"] is False
-        assert hint_data["enabled"] is True
-        assert hint_data["static_vpu_phases"] >= 1
-        assert hint_data["vpu_windows_skipped"] >= 1
+        _baseline, base_cde, hinted, hint_cde = hmmer_ab
+        assert base_cde.hints is None
+        assert hint_cde.hints is not None
+        assert hint_cde.static_vpu_phases >= 1
+        assert hint_cde.static_vpu_windows_skipped >= 1
         assert hinted.extra["static_vpu_windows_skipped"] >= 1.0
 
     def test_policy_decisions_bit_identical(self, hmmer_ab):
-        _baseline, base_data, _hinted, hint_data = hmmer_ab
-        assert base_data["decided_policies"] == hint_data["decided_policies"]
-        assert base_data["decided_policies"]  # non-vacuous comparison
+        _baseline, base_cde, _hinted, hint_cde = hmmer_ab
+        assert base_cde.decided_policies() == hint_cde.decided_policies()
+        assert base_cde.decided_policies()  # non-vacuous comparison
 
     def test_same_work_less_energy(self, hmmer_ab):
         baseline, _bd, hinted, _hd = hmmer_ab
@@ -192,11 +192,11 @@ class TestEndToEnd:
         assert hinted.energy.avg_power_w <= baseline.energy.avg_power_w
 
     def test_no_hints_fire_on_vector_dense_workload(self):
-        baseline, _bd = run_once("bodytrack", hints=False, n=400_000)
-        hinted, hint_data = run_once("bodytrack", hints=True, n=400_000)
-        assert hint_data["enabled"] is True
-        assert hint_data["vpu_dead_regions"] == []
-        assert hint_data["static_vpu_phases"] == 0
+        baseline, _base_cde = run_once("bodytrack", hints=False, n=400_000)
+        hinted, hint_cde = run_once("bodytrack", hints=True, n=400_000)
+        assert hint_cde.hints is not None
+        assert not hint_cde.hints.vpu_dead_regions
+        assert hint_cde.static_vpu_phases == 0
         # With no hints firing, the runs are indistinguishable — identical
         # energy accounting, not merely identical policies.
         assert hinted.cycles == baseline.cycles
