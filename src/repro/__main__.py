@@ -13,17 +13,17 @@ Commands:
 - ``trace``       — run one benchmark with full observability and write a
   Chrome ``trace_event`` JSON (load it at https://ui.perfetto.dev), plus
   an optional per-unit gating timeline (``--timeline``).
-- ``fabric``      — the fault-tolerant job service (``repro.sim.fabric``):
-  ``submit`` runs a batch with retries/timeouts/crash isolation and
-  streams per-job status, ``status`` reports result-cache occupancy, and
-  ``gc`` evicts least-recently-used cache entries down to a size budget.
+- ``fabric``      — result-cache services (``repro.sim.fabric``):
+  ``status`` reports result-cache occupancy, and ``gc`` evicts
+  least-recently-used cache entries down to a size budget.
 
 ``run``, ``compare`` and ``sweep`` accept ``--json`` for machine-readable
-output.  ``sweep`` and ``fabric submit`` build the same batch and run it on
+output.  ``sweep`` runs its batch on
 :class:`repro.sim.fabric.FabricScheduler`: ``--jobs N`` (default:
 ``REPRO_JOBS``) fans it across a process pool, results are cached on disk
-(see ``REPRO_CACHE_DIR``), and a job that raises is retried before it is
-reported failed.  Out-of-range numbers are usage errors (exit 2).
+(see ``REPRO_CACHE_DIR``), and a job that raises is reported failed
+without aborting the batch.  Out-of-range numbers are usage errors (exit
+2).
 """
 
 from __future__ import annotations
@@ -51,25 +51,23 @@ from repro.workloads.suites import ALL_BENCHMARKS, get_profile
 STATICCHECK_JSON_SCHEMA = 1
 
 
-def _bounded(kind, low, strict=False):
-    """An argparse ``type`` reading ``kind`` values ``>= low`` (``> low`` if strict).
+def _int_at_least(low):
+    """An argparse ``type`` reading integers ``>= low``.
 
-    A value out of range (NaN included) is a usage error, exit 2.
+    A value out of range is a usage error, exit 2.
     """
 
     def parse(text):
-        value = kind(text)
-        if not (value > low if strict else value >= low):
-            raise argparse.ArgumentTypeError(
-                f"must be {'>' if strict else '>='} {low}, got {text}"
-            )
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {text}")
         return value
 
-    parse.__name__ = kind.__name__  # argparse names the type in its errors
+    parse.__name__ = "int"  # argparse names the type in its errors
     return parse
 
 
-_positive_int = _bounded(int, 1)
+_positive_int = _int_at_least(1)
 
 
 def _add_run_args(parser: argparse.ArgumentParser) -> None:
@@ -98,48 +96,6 @@ def _add_run_args(parser: argparse.ArgumentParser) -> None:
         choices=available_backends(),
         help=f"execution backend (default: {DEFAULT_BACKEND}); all backends "
         "are bit-identical, this only changes simulation speed",
-    )
-
-
-def _add_batch_args(parser: argparse.ArgumentParser) -> None:
-    """The batch flags ``sweep`` and ``fabric submit`` share (see :func:`_batch_jobs`)."""
-    parser.add_argument(
-        "benchmarks",
-        nargs="*",
-        help="benchmark names (default: all 29 profiles)",
-    )
-    parser.add_argument(
-        "-m",
-        "--modes",
-        default="full,powerchop",
-        help="comma-separated gating modes (default: full,powerchop)",
-    )
-    parser.add_argument(
-        "-n",
-        "--instructions",
-        type=_positive_int,
-        default=2_000_000,
-        help="guest instructions per job (default 2M)",
-    )
-    parser.add_argument(
-        "-d",
-        "--design",
-        default="",
-        help="design point: server | mobile (default: paper pairing)",
-    )
-    parser.add_argument(
-        "-j",
-        "--jobs",
-        type=_positive_int,
-        default=None,
-        help="process-pool workers (default: REPRO_JOBS, else 1)",
-    )
-    parser.add_argument(
-        "--backend",
-        default=None,
-        choices=available_backends(),
-        help=f"execution backend for every job (default: {DEFAULT_BACKEND}); "
-        "results and cache keys are backend-independent",
     )
 
 
@@ -235,15 +191,12 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def _batch_jobs(args, command: str):
-    """The benchmark x mode batch that ``sweep`` and ``fabric submit`` run.
+def cmd_sweep(args) -> int:
+    from repro.sim.fabric import FabricScheduler
 
-    Returns ``(names, modes, jobs)``; ``command`` names the subcommand in
-    the error for an empty ``--modes``.
-    """
     modes = [GatingMode(mode.strip()) for mode in args.modes.split(",") if mode.strip()]
     if not modes:
-        raise SystemExit(f"{command}: --modes must name at least one gating mode")
+        raise SystemExit("sweep: --modes must name at least one gating mode")
     names = args.benchmarks or [p.name for p in ALL_BENCHMARKS]
     design = design_by_name(args.design) if args.design else None
     jobs = []
@@ -260,13 +213,6 @@ def _batch_jobs(args, command: str):
                     backend=args.backend,
                 )
             )
-    return names, modes, jobs
-
-
-def cmd_sweep(args) -> int:
-    from repro.sim.fabric import FabricScheduler
-
-    names, modes, jobs = _batch_jobs(args, "sweep")
     records = FabricScheduler(workers=args.jobs).run(jobs)
 
     by_key = {(job.benchmark, job.mode): record for job, record in zip(jobs, records)}
@@ -328,75 +274,6 @@ def cmd_designs(_args) -> int:
 
     print(run().render())
     return 0
-
-
-def cmd_fabric_submit(args) -> int:
-    from repro.sim.fabric import FabricScheduler, JobStatus, RetryPolicy
-
-    _names, _modes, jobs = _batch_jobs(args, "fabric submit")
-    scheduler = FabricScheduler(
-        workers=args.jobs,
-        retry=RetryPolicy(max_attempts=args.retries, base_delay=args.backoff),
-        job_timeout=args.timeout,
-        shard_size=args.shard_size,
-    )
-    progress = (
-        (lambda event: print(f"  {event.status.value:>7} {event.key[:12]}"
-                             + (f" (attempt {event.attempt})" if event.attempt else "")))
-        if args.progress
-        else None
-    )
-    scheduler.on_event = progress
-    records = scheduler.run(jobs)
-    snapshot = scheduler.registry.snapshot()
-
-    if args.json:
-        payload = {
-            "jobs": [
-                {
-                    "benchmark": job.benchmark,
-                    "mode": job.mode.value,
-                    "job_key": record.job_key,
-                    "status": (
-                        JobStatus.FAILED.value
-                        if not record.ok
-                        else (
-                            JobStatus.CACHED.value
-                            if record.from_cache
-                            else JobStatus.DONE.value
-                        )
-                    ),
-                    "from_cache": record.from_cache,
-                    "error": record.error,
-                    "result": record.result.to_dict() if record.ok else None,
-                }
-                for job, record in zip(jobs, records)
-            ],
-            "metrics": snapshot,
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True))
-        return 1 if any(not r.ok for r in records) else 0
-
-    rows = []
-    for job, record in zip(jobs, records):
-        if record.ok:
-            status = "cached" if record.from_cache else "done"
-            detail = f"ipc {record.result.ipc:.3f}"
-        else:
-            status, detail = "failed", record.error[:48]
-        rows.append((job.benchmark, job.mode.value, status, detail))
-    counters = snapshot["counters"]
-    print(
-        f"{len(jobs)} job(s): "
-        f"{counters.get('fabric_jobs{status=done}', 0)} run, "
-        f"{counters.get('fabric_jobs{status=cached}', 0)} cached, "
-        f"{counters.get('fabric_jobs{status=failed}', 0)} failed; "
-        f"{counters.get('fabric_retries', 0)} retries, "
-        f"{counters.get('fabric_timeouts', 0)} timeouts, "
-        f"{counters.get('fabric_pool_restarts', 0)} pool restarts"
-    )
-    print(format_table(("benchmark", "mode", "status", "detail"), rows))
-    return 1 if any(not r.ok for r in records) else 0
 
 
 def cmd_fabric_status(args) -> int:
@@ -552,7 +429,44 @@ def main(argv=None) -> int:
     sweep_parser = sub.add_parser(
         "sweep", help="run a benchmark x mode batch through the engine"
     )
-    _add_batch_args(sweep_parser)
+    sweep_parser.add_argument(
+        "benchmarks",
+        nargs="*",
+        help="benchmark names (default: all 29 profiles)",
+    )
+    sweep_parser.add_argument(
+        "-m",
+        "--modes",
+        default="full,powerchop",
+        help="comma-separated gating modes (default: full,powerchop)",
+    )
+    sweep_parser.add_argument(
+        "-n",
+        "--instructions",
+        type=_positive_int,
+        default=2_000_000,
+        help="guest instructions per job (default 2M)",
+    )
+    sweep_parser.add_argument(
+        "-d",
+        "--design",
+        default="",
+        help="design point: server | mobile (default: paper pairing)",
+    )
+    sweep_parser.add_argument(
+        "-j",
+        "--jobs",
+        type=_positive_int,
+        default=None,
+        help="process-pool workers (default: REPRO_JOBS, else 1)",
+    )
+    sweep_parser.add_argument(
+        "--backend",
+        default=None,
+        choices=available_backends(),
+        help=f"execution backend for every job (default: {DEFAULT_BACKEND}); "
+        "results and cache keys are backend-independent",
+    )
     sweep_parser.add_argument(
         "--json",
         action="store_true",
@@ -562,50 +476,9 @@ def main(argv=None) -> int:
 
     fabric_parser = sub.add_parser(
         "fabric",
-        help="fault-tolerant job service: submit batches, inspect / gc the cache",
+        help="result-cache services: inspect / gc the cache",
     )
     fabric_sub = fabric_parser.add_subparsers(dest="fabric_command", required=True)
-
-    submit_parser = fabric_sub.add_parser(
-        "submit", help="run a benchmark x mode batch with retries and timeouts"
-    )
-    _add_batch_args(submit_parser)
-    submit_parser.add_argument(
-        "--retries",
-        type=_positive_int,
-        default=3,
-        help="max attempts per job including the first (default 3)",
-    )
-    submit_parser.add_argument(
-        "--backoff",
-        type=_bounded(float, 0),
-        default=0.05,
-        help="base retry backoff in seconds, doubled per attempt (default 0.05)",
-    )
-    submit_parser.add_argument(
-        "--timeout",
-        type=_bounded(float, 0, strict=True),
-        default=None,
-        help="per-job wall-clock timeout in seconds (default: none)",
-    )
-    submit_parser.add_argument(
-        "--shard-size",
-        type=_positive_int,
-        default=32,
-        help="jobs dispatched concurrently per shard (default 32; 1 "
-        "fully serialises dispatch)",
-    )
-    submit_parser.add_argument(
-        "--progress",
-        action="store_true",
-        help="stream per-job status transitions as they happen",
-    )
-    submit_parser.add_argument(
-        "--json",
-        action="store_true",
-        help="emit per-job records plus the fabric metrics snapshot",
-    )
-    submit_parser.set_defaults(func=cmd_fabric_submit)
 
     status_parser = fabric_sub.add_parser(
         "status", help="result-cache occupancy, budget and counters"
@@ -618,7 +491,7 @@ def main(argv=None) -> int:
     )
     gc_parser.add_argument(
         "--budget",
-        type=_bounded(int, 0),
+        type=_int_at_least(0),
         default=None,
         help="target size in bytes (default: REPRO_CACHE_BUDGET)",
     )

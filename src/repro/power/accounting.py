@@ -223,8 +223,10 @@ class EnergyAccounting:
             switch_overhead_j=self.switch_overhead_j,
             unit_leakage_j=unit_leakage,
             unit_dynamic_j=unit_dynamic,
-            vpu_on_frac=self._vpu_cycles[True] / total,
-            bpu_on_frac=self._bpu_cycles[True] / total,
+            # Per-state sums accumulate rounding across switches, so the
+            # on-share can land a ulp above 1.
+            vpu_on_frac=min(self._vpu_cycles[True] / total, 1.0),
+            bpu_on_frac=min(self._bpu_cycles[True] / total, 1.0),
             mlc_way_residency={
                 ways: cycles / total for ways, cycles in self._mlc_cycles.items()
             },

@@ -25,8 +25,8 @@ Environment knobs: ``REPRO_JOBS`` (default worker count, default 1),
 cache size with LRU eviction.
 
 Batches of jobs run on :class:`repro.sim.fabric.FabricScheduler`, the
-service layer over this engine: cache dedup, a process pool, retries,
-timeouts, crash isolation and progress streaming.
+batch runner over this engine: cache dedup, a process pool and crash
+isolation.
 """
 
 from __future__ import annotations

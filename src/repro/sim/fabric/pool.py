@@ -1,23 +1,17 @@
-"""A process pool that survives poisoned and hung workers.
+"""A process pool that survives poisoned workers.
 
 ``concurrent.futures.ProcessPoolExecutor`` is a one-way street: a worker
 that dies (``os._exit``, OOM-kill, segfault) breaks the whole executor,
-and a hung worker can never be reclaimed because ``shutdown`` waits for
-it.  :class:`RestartablePool` wraps the executor with the two operations
-the fabric scheduler needs:
+which then rejects every submission.  :class:`RestartablePool` wraps the
+executor with the two behaviours the fabric scheduler needs:
 
-- ``restart()`` — hard-kill every worker process and build a fresh
-  executor on next submit (used after a crash *or* a job timeout, since a
-  timed-out future cannot be cancelled once running);
+- rebuild on demand — the next ``submit`` after a worker died tears the
+  broken executor down, builds a fresh one and counts it in
+  :attr:`RestartablePool.restarts`;
 - graceful unavailability — if executor/worker creation itself fails
   (e.g. a sandbox forbids ``fork``), ``submit`` raises
   :class:`PoolUnavailable` and the scheduler degrades to serial
   in-process execution instead of aborting the batch.
-
-Killing workers uses the executor's private ``_processes`` map; there is
-no public API for it.  The access is defensive (``getattr`` + per-process
-``try``), so on an interpreter where the attribute moved the pool merely
-degrades to ``shutdown(wait=False)``.
 """
 
 from __future__ import annotations
@@ -33,7 +27,7 @@ class PoolUnavailable(RuntimeError):
 
 
 class RestartablePool:
-    """Lazily-built :class:`ProcessPoolExecutor` with kill-and-restart."""
+    """Lazily-built :class:`ProcessPoolExecutor` that rebuilds itself once broken."""
 
     def __init__(self, max_workers: int) -> None:
         if max_workers < 1:
@@ -41,10 +35,6 @@ class RestartablePool:
         self.max_workers = max_workers
         self.restarts = 0
         self.available = True
-        #: Bumped on every teardown.  Callers snapshot it at submit time
-        #: and pass it to :meth:`restart_if` so a job observing a *stale*
-        #: broken future cannot kill the healthy replacement pool.
-        self.generation = 0
         self._pool: Optional[ProcessPoolExecutor] = None
 
     def _ensure(self) -> ProcessPoolExecutor:
@@ -65,8 +55,9 @@ class RestartablePool:
         except PoolUnavailable:
             raise
         except Exception as exc:
-            # A broken executor rejects submissions; force a rebuild once.
+            # A broken executor rejects submissions; rebuild it once.
             self._teardown()
+            self.restarts += 1
             try:
                 return self._ensure().submit(fn, *args)
             except PoolUnavailable:
@@ -77,46 +68,13 @@ class RestartablePool:
 
     def _teardown(self) -> None:
         pool, self._pool = self._pool, None
-        self.generation += 1
         if pool is None:
             return
-        # Kill workers first: shutdown() would block forever on a hung one.
-        for process in list(getattr(pool, "_processes", {}).values()):
-            try:
-                process.kill()
-            except Exception:
-                pass
         try:
             pool.shutdown(wait=False, cancel_futures=True)
         except Exception:
-            pass
-
-    def restart(self) -> None:
-        """Hard-kill the current workers; the next submit gets a new pool.
-
-        Every in-flight future is abandoned (it resolves as broken or
-        cancelled) — callers retry the affected jobs.
-        """
-        self._teardown()
-        self.restarts += 1
-
-    def restart_if(self, generation: int) -> None:
-        """Restart only if the pool a caller submitted to is still live.
-
-        ``generation`` is the value of :attr:`generation` snapshotted just
-        before the caller's submit.  If the pool has been recycled since,
-        the caller's worker is already gone and restarting again would
-        only kill innocent jobs on the replacement pool.
-        """
-        if self.generation == generation:
-            self.restart()
+            pass  # a broken executor may be closing its pipes already
 
     def close(self) -> None:
-        """Tear the pool down without counting a restart."""
+        """Shut the pool down at the end of a run (not counted as a restart)."""
         self._teardown()
-
-    def __enter__(self) -> "RestartablePool":
-        return self
-
-    def __exit__(self, *_exc: Any) -> None:
-        self.close()

@@ -4,21 +4,20 @@ Besides the profile/config fixtures, this file provides the
 fault-injection toolkit for the sweep-fabric suite:
 
 - :class:`FaultyExecutor` — a picklable ``SimJob.configure`` callback
-  that deterministically kills, hangs, or fails its worker (optionally
-  only on the first attempt, via an on-disk latch);
+  that deterministically kills its worker or raises (optionally only on
+  the first attempt, via an on-disk latch);
 - :class:`UnpicklableProbe` — a probe whose value poisons result
   pickling, so the job *runs* but its record cannot cross the process
   boundary;
 - the ``crashing_job`` fixture — a factory for jobs carrying those
   faults;
 - a hard ``@pytest.mark.timeout(seconds)`` marker enforced with
-  ``SIGALRM``, so hang-injection tests can never wedge a CI runner (no
-  pytest-timeout dependency needed).
+  ``SIGALRM``, so a test whose worker pool wedges can never wedge a CI
+  runner (no pytest-timeout dependency needed).
 """
 
 import os
 import signal
-import time
 from dataclasses import dataclass
 from typing import Optional
 
@@ -45,9 +44,9 @@ from repro.workloads.mixes import GLOBAL_HEAVY, PREDICTABLE
 def pytest_runtest_call(item):
     """Enforce ``@pytest.mark.timeout(seconds)`` with a SIGALRM deadline.
 
-    A hang-injection test that escapes its in-test timeout would
-    otherwise block the whole suite; the alarm turns it into an ordinary
-    failure.  On platforms without ``SIGALRM`` the marker is a no-op.
+    A test stuck waiting on a worker pool would otherwise block the
+    whole suite; the alarm turns it into an ordinary failure.  On
+    platforms without ``SIGALRM`` the marker is a no-op.
     """
     marker = item.get_closest_marker("timeout")
     seconds = marker.args[0] if marker is not None and marker.args else None
@@ -77,28 +76,22 @@ class FaultyExecutor:
 
     - ``"crash"`` — hard-kills the worker (``os._exit``), poisoning a
       ``ProcessPoolExecutor`` exactly like a segfault or OOM-kill;
-    - ``"hang"``  — sleeps far past any reasonable job timeout;
-    - ``"slow"``  — sleeps ``seconds``, then runs normally (a long but
-      healthy job);
     - ``"raise"`` — raises ``RuntimeError`` from the job body;
     - ``"ok"``    — no fault (control).
 
     With ``latch`` set, the fault fires only if the latch file does not
     exist yet (and creates it) — i.e. exactly once across attempts, which
-    is what the retry-success tests need.  Instances are picklable, so
+    is what the crash-then-retry test needs.  Instances are picklable, so
     faulty jobs travel to pool workers like any other job.
     """
 
-    KINDS = ("crash", "hang", "slow", "raise", "ok")
+    KINDS = ("crash", "raise", "ok")
 
-    def __init__(
-        self, kind: str, latch: Optional[str] = None, seconds: float = 0.0
-    ) -> None:
+    def __init__(self, kind: str, latch: Optional[str] = None) -> None:
         if kind not in self.KINDS:
             raise ValueError(f"unknown fault kind {kind!r}")
         self.kind = kind
         self.latch = latch
-        self.seconds = seconds
 
     def __call__(self, simulator) -> None:
         if self.latch is not None:
@@ -108,10 +101,6 @@ class FaultyExecutor:
                 pass
         if self.kind == "crash":
             os._exit(13)
-        elif self.kind == "hang":
-            time.sleep(600)
-        elif self.kind == "slow":
-            time.sleep(self.seconds)
         elif self.kind == "raise":
             raise RuntimeError("injected fault")
 
@@ -141,11 +130,10 @@ class _UnpicklableState(ProbeState):
 def crashing_job(tmp_path):
     """Factory for :class:`~repro.sim.engine.SimJob` carrying an injected fault.
 
-    ``make(kind, once=False, ...)`` returns a job whose worker crashes,
-    hangs, sleeps for ``seconds`` or raises deterministically;
-    ``once=True`` arms the fault for the first attempt only (retries
-    succeed).  Each distinct ``tag`` yields a distinct cache key, so
-    faulty jobs never alias healthy ones.
+    ``make(kind, once=False, ...)`` returns a job whose worker crashes or
+    raises deterministically; ``once=True`` arms the fault for the first
+    attempt only (the retry succeeds).  Each distinct ``tag`` yields a
+    distinct cache key, so faulty jobs never alias healthy ones.
     """
     from repro.sim.engine import SimJob
 
@@ -156,7 +144,6 @@ def crashing_job(tmp_path):
         budget: int = 30_000,
         tag: str = "",
         seed: Optional[int] = None,
-        seconds: float = 0.0,
     ) -> SimJob:
         label = tag or f"{kind}-{'once' if once else 'always'}"
         latch = str(tmp_path / f"latch-{label}") if once else None
@@ -164,7 +151,7 @@ def crashing_job(tmp_path):
             benchmark=benchmark,
             max_instructions=budget,
             seed=seed,
-            configure=FaultyExecutor(kind, latch, seconds),
+            configure=FaultyExecutor(kind, latch),
             cache_tag=f"fault-{label}",
         )
 

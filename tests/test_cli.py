@@ -82,12 +82,6 @@ class TestCLI:
             ["run", "hmmer", "-n", "0"],
             ["sweep", "hmmer", "-j", "0"],
             ["sweep", "hmmer", "-n", "0"],
-            ["fabric", "submit", "hmmer", "-j", "0"],
-            ["fabric", "submit", "hmmer", "--retries", "0"],
-            ["fabric", "submit", "hmmer", "--shard-size", "0"],
-            ["fabric", "submit", "hmmer", "--timeout", "0"],
-            ["fabric", "submit", "hmmer", "--timeout", "nan"],
-            ["fabric", "submit", "hmmer", "--backoff", "-1"],
             ["fabric", "gc", "--budget", "-5"],
         ],
     )

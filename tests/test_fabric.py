@@ -2,7 +2,7 @@
 
 Covers the acceptance matrix for the fabric, the engine's batch runner:
 
-- retry-success / retry-exhaustion / timeout / batch-survives-poison-worker
+- crash-then-retry, raise-then-fail and batch-survives-poison-worker
   paths, driven by the deterministic ``FaultyExecutor`` injectors from
   conftest;
 - property-based (seeded ``random``, no extra deps) cache-lifecycle
@@ -22,6 +22,7 @@ import os
 import random
 import threading
 import time
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -33,15 +34,11 @@ from repro.sim.engine import (
 )
 from repro.sim.fabric import (
     FabricScheduler,
-    JobStatus,
     PoolUnavailable,
     RestartablePool,
-    RetryPolicy,
 )
 from repro.sim.simulator import GatingMode
 from tests.conftest import UnpicklableProbe
-
-FAST = RetryPolicy(max_attempts=2, base_delay=0.01, max_delay=0.05)
 
 
 @pytest.fixture(autouse=True)
@@ -71,58 +68,20 @@ def _six_jobs(budget=60_000):
     ]
 
 
-# ------------------------------------------------------------ retry policy
-
-
-class TestRetryPolicy:
-    def test_backoff_grows_and_caps(self):
-        policy = RetryPolicy(
-            max_attempts=5, base_delay=0.1, multiplier=2.0, max_delay=0.3,
-            jitter_frac=0.0,
-        )
-        rng = random.Random(0)
-        delays = [policy.delay(n, rng) for n in (1, 2, 3, 4)]
-        assert delays == [0.1, 0.2, 0.3, 0.3]  # exponential, then capped
-
-    def test_jitter_bounded_and_seeded(self):
-        policy = RetryPolicy(base_delay=1.0, jitter_frac=0.25, max_delay=1.0)
-        draws = [policy.delay(1, random.Random(seed)) for seed in range(50)]
-        assert all(0.75 <= d <= 1.25 for d in draws)
-        assert len(set(draws)) > 1  # jitter actually varies
-        # Seeded: the same rng state reproduces the same delay sequence.
-        assert [policy.delay(1, random.Random(7)) for _ in range(3)] == [
-            policy.delay(1, random.Random(7)) for _ in range(3)
-        ]
-
-    def test_exhausted_counts_first_attempt(self):
-        assert RetryPolicy(max_attempts=1).exhausted(1)
-        assert not RetryPolicy(max_attempts=3).exhausted(2)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(max_attempts=0)
-        with pytest.raises(ValueError):
-            RetryPolicy(multiplier=0.5)
-        with pytest.raises(ValueError):
-            RetryPolicy(jitter_frac=1.0)
-        with pytest.raises(ValueError):
-            RetryPolicy(base_delay=-1.0)
-
-
 # --------------------------------------------------------- restartable pool
 
 
 class TestRestartablePool:
-    def test_restart_if_ignores_stale_generation(self):
+    def test_next_submit_rebuilds_a_broken_pool(self):
         pool = RestartablePool(max_workers=1)
-        generation = pool.generation
-        pool.restart()  # generation moves on
-        assert pool.restarts == 1
-        pool.restart_if(generation)  # stale caller: must not restart again
-        assert pool.restarts == 1
-        pool.restart_if(pool.generation)  # live caller: restarts
-        assert pool.restarts == 2
-        pool.close()
+        try:
+            crash = pool.submit(os._exit, 13)  # the worker dies mid-job
+            with pytest.raises(BrokenProcessPool):
+                crash.result(timeout=60)
+            assert pool.submit(int).result(timeout=60) == 0
+            assert pool.restarts == 1
+        finally:
+            pool.close()
 
     def test_unavailable_pool_raises_pool_unavailable(self, monkeypatch):
         pool = RestartablePool(max_workers=2)
@@ -302,29 +261,26 @@ def _counter(scheduler, name):
 class TestFabricScheduler:
     def test_basic_batch_order_duplicates_and_events(self):
         jobs = [_job(seed=1), _job(seed=2), _job(seed=1)]
-        scheduler = FabricScheduler(workers=1, retry=FAST)
+        scheduler = FabricScheduler(workers=1)
         records = scheduler.run(jobs)
         assert [r.ok for r in records] == [True, True, True]
         assert records[0] is records[2]  # duplicates share one record
         assert [r.from_cache for r in records] == [False, False, False]
-        statuses = [e.status for e in scheduler.events]
-        assert statuses.count(JobStatus.QUEUED) == 2  # unique jobs only
-        assert statuses.count(JobStatus.DONE) == 2
-        assert statuses[0] is JobStatus.QUEUED
-        done_counter = _counter(scheduler, "fabric_jobs{status=done}")
-        assert done_counter == 2
+        assert _counter(scheduler, "fabric_cache{event=miss}") == 3
+        assert _counter(scheduler, "fabric_attempts") == 2  # unique jobs only
+        assert _counter(scheduler, "fabric_jobs{status=done}") == 2
 
     def test_parallel_matches_serial_bit_identical(self, monkeypatch, tmp_path):
         jobs = _six_jobs()
 
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "serial"))
         engine.clear_memo()
-        serial = FabricScheduler(workers=1, retry=FAST).run(jobs)
+        serial = FabricScheduler(workers=1).run(jobs)
 
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "parallel"))
         monkeypatch.setenv("REPRO_JOBS", "4")
         engine.clear_memo()
-        scheduler = FabricScheduler(retry=FAST)
+        scheduler = FabricScheduler()
         assert scheduler.workers == 4
         parallel = scheduler.run(jobs)
 
@@ -341,12 +297,12 @@ class TestFabricScheduler:
         jobs = _six_jobs(budget=250_000)
 
         start = time.perf_counter()
-        cold = FabricScheduler(workers=1, retry=FAST).run(jobs)
+        cold = FabricScheduler(workers=1).run(jobs)
         cold_elapsed = time.perf_counter() - start
 
         engine.clear_memo()  # force the disk layer, not the memo
         start = time.perf_counter()
-        warm = FabricScheduler(workers=1, retry=FAST).run(jobs)
+        warm = FabricScheduler(workers=1).run(jobs)
         warm_elapsed = time.perf_counter() - start
 
         assert all(r.from_cache for r in warm)
@@ -360,14 +316,14 @@ class TestFabricScheduler:
 
     def test_warm_run_never_lists_the_cache(self, monkeypatch):
         jobs = [_job(seed=1), _job(seed=2)]
-        FabricScheduler(workers=1, retry=FAST).run(jobs)
+        FabricScheduler(workers=1).run(jobs)
         engine.clear_memo()
 
         def no_listing(cache):
             raise AssertionError("a warm run listed every cache entry")
 
         monkeypatch.setattr(ResultCache, "entries", no_listing)
-        records = FabricScheduler(workers=1, retry=FAST).run(jobs)
+        records = FabricScheduler(workers=1).run(jobs)
         assert all(r.from_cache for r in records)
 
     def test_in_process_attempts_never_overlap(self, monkeypatch):
@@ -391,7 +347,7 @@ class TestFabricScheduler:
 
         monkeypatch.setattr("repro.sim.fabric.scheduler.execute_job", tracked)
         jobs = [_job(seed=seed, budget=5_000) for seed in range(4)]
-        records = FabricScheduler(workers=1, retry=FAST).run(jobs)
+        records = FabricScheduler(workers=1).run(jobs)
         assert all(r.ok for r in records)
         assert peak[0] == 1
         assert threads == {threading.get_ident()}
@@ -403,7 +359,7 @@ class TestFabricScheduler:
             probes=(UnpicklableProbe(),),
         )
         jobs = [_job(seed=1), poisoned, _job(seed=2)]
-        records = FabricScheduler(workers=2, retry=FAST).run(jobs)
+        records = FabricScheduler(workers=2).run(jobs)
         assert [r.ok for r in records] == [True, False, True]
         assert records[1].result is None
         assert records[1].error
@@ -413,21 +369,21 @@ class TestFabricScheduler:
 
     def test_warm_run_is_all_cached(self):
         jobs = [_job(seed=1), _job(seed=2)]
-        FabricScheduler(workers=1, retry=FAST).run(jobs)
+        FabricScheduler(workers=1).run(jobs)
         engine.clear_memo()  # force the disk layer
-        scheduler = FabricScheduler(workers=1, retry=FAST)
+        scheduler = FabricScheduler(workers=1)
         records = scheduler.run(jobs)
         assert all(r.from_cache for r in records)
         assert _counter(scheduler, "fabric_jobs{status=cached}") == 2
         assert _counter(scheduler, "fabric_cache{event=hit}") == 2
-        assert {e.status for e in scheduler.events} == {JobStatus.CACHED}
+        assert _counter(scheduler, "fabric_attempts") == 0
 
     def test_batch_completes_when_cache_writes_fail(self, tmp_path):
         blocker = tmp_path / "regular-file"
         blocker.write_text("not a directory")
         cache = ResultCache(root=blocker / "cache")
         jobs = [_job(seed=1), _job(seed=2)]
-        records = FabricScheduler(workers=1, retry=FAST, cache=cache).run(jobs)
+        records = FabricScheduler(workers=1, cache=cache).run(jobs)
         assert [r.ok for r in records] == [True, True]
         assert cache.write_failures == 2
 
@@ -438,10 +394,7 @@ class TestFabricScheduler:
             _job(seed=11),
             _job(seed=12),
         ]
-        scheduler = FabricScheduler(
-            workers=2,
-            retry=RetryPolicy(max_attempts=4, base_delay=0.01, max_delay=0.05),
-        )
+        scheduler = FabricScheduler(workers=2)
         records = scheduler.run(jobs)
         assert [r.ok for r in records] == [True, True, True]
         assert _counter(scheduler, "fabric_crashes") >= 1
@@ -449,104 +402,53 @@ class TestFabricScheduler:
         assert _counter(scheduler, "fabric_pool_restarts") >= 1
         assert _counter(scheduler, "fabric_jobs{status=failed}") == 0
 
-    def test_retry_exhaustion_yields_failed_record(self, crashing_job):
-        scheduler = FabricScheduler(workers=1, retry=FAST)
-        records = scheduler.run([crashing_job("raise"), _job(seed=13)])
-        assert [r.ok for r in records] == [False, True]
+    def test_raising_job_fails_after_one_attempt(self, crashing_job):
+        """Simulation is deterministic: a job that raised would raise again."""
+        scheduler = FabricScheduler(workers=1)
+        records = scheduler.run([crashing_job("raise")])
+        assert not records[0].ok
         assert "RuntimeError: injected fault" in records[0].error
         assert records[0].result is None
-        assert _counter(scheduler, "fabric_retries") == 1  # 2 attempts
+        assert _counter(scheduler, "fabric_attempts") == 1
+        assert _counter(scheduler, "fabric_retries") == 0
         assert _counter(scheduler, "fabric_jobs{status=failed}") == 1
-        failed_events = [
-            e for e in scheduler.events if e.status is JobStatus.FAILED
-        ]
-        assert len(failed_events) == 1 and failed_events[0].attempt == 2
 
     def test_crash_fails_only_the_culprit(self, crashing_job):
         """A crash breaks every attempt in flight; the casualties retry
         alone, so only the job that kills its worker fails."""
         jobs = [_job(seed=1), crashing_job("crash")]
         jobs += [_job(seed=seed) for seed in range(2, 6)]
-        scheduler = FabricScheduler(workers=2, retry=FAST)
+        scheduler = FabricScheduler(workers=2)
         records = scheduler.run(jobs)
         assert [r.ok for r in records] == [True, False, True, True, True, True]
         assert "worker pool broke" in records[1].error
         assert _counter(scheduler, "fabric_jobs{status=done}") == 5
 
     @pytest.mark.timeout(120)
-    def test_batch_survives_poison_worker(self, crashing_job):
+    def test_batch_survives_poison_worker(self, crashing_job, monkeypatch):
         """Acceptance: job k of N crashes its worker on every attempt.
 
-        The fabric returns N records — N-1 succeeded, 1 failed after the
-        configured retries — and the metrics report the retry/failure
-        counts.  ``shard_size=1`` serialises dispatch, confining each
+        The fabric returns N records — N-1 succeeded, 1 failed after its
+        one casualty retry — and the metrics report the crash/retry
+        counts.  Shards of one job serialise dispatch, confining each
         crash to its own job.
         """
+        monkeypatch.setattr("repro.sim.fabric.scheduler._SHARD_SIZE", 1)
         jobs = [
             _job(seed=21),
             _job(seed=22),
             crashing_job("crash"),  # job k: poisons its worker, always
             _job(seed=23),
         ]
-        scheduler = FabricScheduler(workers=2, shard_size=1, retry=FAST)
+        scheduler = FabricScheduler(workers=2)
         records = scheduler.run(jobs)
         assert len(records) == len(jobs)
         assert [r.ok for r in records] == [True, True, False, True]
         assert "worker pool broke" in records[2].error
-        assert _counter(scheduler, "fabric_crashes") == FAST.max_attempts
-        assert _counter(scheduler, "fabric_retries") == FAST.max_attempts - 1
+        assert _counter(scheduler, "fabric_crashes") == 2
+        assert _counter(scheduler, "fabric_retries") == 1
         assert _counter(scheduler, "fabric_jobs{status=failed}") == 1
         assert _counter(scheduler, "fabric_jobs{status=done}") == 3
-
-    @pytest.mark.timeout(90)
-    def test_hang_times_out_and_batch_completes(self, crashing_job):
-        """Hang-injection: the per-job timeout reclaims the stuck worker."""
-        jobs = [crashing_job("hang"), _job(seed=31)]
-        scheduler = FabricScheduler(
-            workers=2,
-            shard_size=1,
-            job_timeout=1.5,
-            retry=RetryPolicy(max_attempts=1),
-        )
-        records = scheduler.run(jobs)
-        assert [r.ok for r in records] == [False, True]
-        assert "TimeoutError" in records[0].error
-        assert _counter(scheduler, "fabric_timeouts") == 1
-        assert _counter(scheduler, "fabric_pool_restarts") >= 1
-
-    @pytest.mark.timeout(90)
-    def test_hang_timeout_then_retry_succeeds(self, crashing_job):
-        """Hang-once: first attempt times out, the retry completes."""
-        jobs = [crashing_job("hang", once=True)]
-        scheduler = FabricScheduler(
-            workers=2,
-            job_timeout=1.5,
-            retry=RetryPolicy(max_attempts=2, base_delay=0.01),
-        )
-        records = scheduler.run(jobs)
-        assert records[0].ok
-        assert _counter(scheduler, "fabric_timeouts") == 1
-        assert _counter(scheduler, "fabric_retries") == 1
-
-    @pytest.mark.timeout(90)
-    def test_timeout_clock_starts_when_a_worker_takes_the_job(self, crashing_job):
-        """Healthy jobs queued behind a busy pool do not time out.
-
-        Four 1 s jobs on two workers take about 2 s; a 1.7 s timeout that
-        counted the wait in the executor's queue would fail the last two.
-        """
-        jobs = [
-            crashing_job("slow", seconds=1.0, tag=f"slow-{index}")
-            for index in range(4)
-        ]
-        scheduler = FabricScheduler(
-            workers=2,
-            job_timeout=1.7,
-            retry=RetryPolicy(max_attempts=1),
-        )
-        records = scheduler.run(jobs)
-        assert [r.ok for r in records] == [True] * 4
-        assert _counter(scheduler, "fabric_timeouts") == 0
 
     def test_degrades_to_serial_when_pool_unavailable(self, monkeypatch):
         def no_pool(self):
@@ -554,7 +456,7 @@ class TestFabricScheduler:
             raise PoolUnavailable("injected: no subprocesses here")
 
         monkeypatch.setattr(RestartablePool, "_ensure", no_pool)
-        scheduler = FabricScheduler(workers=4, retry=FAST)
+        scheduler = FabricScheduler(workers=4)
         records = scheduler.run([_job(seed=41), _job(seed=42)])
         assert [r.ok for r in records] == [True, True]
         assert _counter(scheduler, "fabric_pool_unavailable") >= 1
@@ -575,7 +477,7 @@ class TestFabricScheduler:
             ),
             _job(),
         ]
-        records = FabricScheduler(workers=2, retry=FAST).run(jobs)
+        records = FabricScheduler(workers=2).run(jobs)
         assert [r.ok for r in records] == [True, True]
         assert records[0].job_key != records[1].job_key  # tag salts the key
         # The closure can't travel to a pool worker; the job must have run
@@ -587,7 +489,3 @@ class TestFabricScheduler:
     def test_validation(self):
         with pytest.raises(ValueError):
             FabricScheduler(workers=0)
-        with pytest.raises(ValueError):
-            FabricScheduler(shard_size=0)
-        with pytest.raises(ValueError):
-            FabricScheduler(job_timeout=0.0)

@@ -1,7 +1,7 @@
 """Additional property-based tests: drowsy cache, prefetcher, HTB/PVT
 interplay, energy accounting invariants."""
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.uarch.cache.drowsy import DrowsySetAssocCache
@@ -84,6 +84,14 @@ def test_prefetcher_covers_pure_sequential(start, length):
     switch_points=st.lists(
         st.floats(min_value=1.0, max_value=999_999.0), min_size=0, max_size=10
     )
+)
+@example(
+    switch_points=[
+        1.6900161860394292,
+        1.6900161860394292,
+        524290.5973126028,
+        524290.5973126028,
+    ]
 )
 @settings(max_examples=40)
 def test_vpu_residency_always_normalised(switch_points):
